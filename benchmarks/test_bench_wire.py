@@ -1,6 +1,6 @@
 """CLAIM-WIRE — fixed-width sub-batch codec >= 2x the varint path.
 
-The FTAB sub-batch format (``BATCH_FORMAT_VERSION = 2``) encodes runs of
+The FTAB sub-batch format (``BATCH_FORMAT_VERSION = 3``) encodes runs of
 fully specific keys as fixed-width struct sections and decodes them
 zero-copy through ``memoryview``/``Struct.iter_unpack``, skipping the
 per-feature varint/string round trip entirely.  Fully specific keys are
@@ -95,10 +95,10 @@ def test_fixed_width_codec_speedup(benchmark):
         f"entries; encode+decode, median of 3)",
     )
     print(render_table([
-        {"layout": "varint strings (v1 entry layout)",
+        {"layout": "varint sections (allow_fixed=False)",
          "encode_decode_ms": round(varint_time * 1e3, 1),
          "payload_kb": len(varint_payload) // 1024, "speedup": "1.00x"},
-        {"layout": "fixed-width sections (v2)",
+        {"layout": "fixed-width sections",
          "encode_decode_ms": round(fixed_time * 1e3, 1),
          "payload_kb": len(fixed_payload) // 1024,
          "speedup": f"{speedup:.2f}x"},

@@ -38,7 +38,7 @@ from repro.analysis.storage import store_footprint
 from repro.core.config import FlowtreeConfig
 from repro.core.flowtree import Flowtree
 from repro.core.key import FlowKey
-from repro.core.parallel import ParallelShardedFlowtree
+from repro.core.parallel import ShardWorkerPool
 from repro.core.serialization import from_bytes, size_report, to_bytes
 from repro.core.sharded import ShardedFlowtree
 from repro.devtools.lint.engine import main as _flowlint_main
@@ -89,12 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("--input-format", choices=("csv", "pcap"), default="csv")
     build.add_argument("--batch-size", type=int, default=16_384,
                        help="records pre-aggregated per ingestion batch (0 = per-record)")
-    build.add_argument("--compaction", choices=("auto", "incremental", "rebuild"),
-                       default="auto",
-                       help="how the node budget is enforced: 'incremental' "
-                            "victim rounds, single-pass 'rebuild' folds, or "
-                            "'auto' (rebuild only when a batch overshoots "
-                            "the budget far enough for it to win)")
     build.add_argument("--shards", type=int, default=1,
                        help="hash-partition ingestion across N shard trees, "
                             "merged into one summary before writing")
@@ -195,11 +189,16 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _ingest(summarizer, records, batch_size: int) -> int:
+    """Batched ingestion, or the per-record loop for ``--batch-size 0``."""
+    if batch_size and batch_size > 0:
+        return summarizer.add_batch(records, batch_size=batch_size)
+    return summarizer.add_records(records)
+
+
 def _cmd_build(args: argparse.Namespace) -> int:
     schema = schema_by_name(args.schema)
-    config = FlowtreeConfig(
-        max_nodes=args.max_nodes, policy=args.policy, compaction=args.compaction
-    )
+    config = FlowtreeConfig(max_nodes=args.max_nodes, policy=args.policy)
     if args.shards < 1:
         raise ValueError(f"--shards must be at least 1, got {args.shards}")
     if args.workers < 0:
@@ -207,36 +206,29 @@ def _cmd_build(args: argparse.Namespace) -> int:
     if args.workers >= 1 and args.shards > 1 and args.workers != args.shards:
         raise ValueError(
             f"--workers {args.workers} conflicts with --shards {args.shards}; "
-            "each worker process owns exactly one shard, so pass only --workers"
+            "each worker process owns exactly one shard of the ShardedFlowtree, "
+            "so pass only --workers"
         )
     if args.input_format == "pcap":
         records = read_pcap(args.input)
     else:
         records = read_csv(args.input)
     via = ""
-    if args.workers >= 1:
-        with ParallelShardedFlowtree(schema, config, num_workers=args.workers) as parallel:
-            if args.batch_size and args.batch_size > 0:
-                consumed = parallel.add_batch(records, batch_size=args.batch_size)
-            else:
-                consumed = parallel.add_records(records)
-            tree = parallel.merged_tree()
-        plural = "es" if args.workers != 1 else ""
-        via = f" via {args.workers} worker process{plural}"
-    elif args.shards > 1:
-        sharded = ShardedFlowtree(schema, config, num_shards=args.shards)
-        if args.batch_size and args.batch_size > 0:
-            consumed = sharded.add_batch(records, batch_size=args.batch_size)
+    if args.workers >= 1 or args.shards > 1:
+        pool = ShardWorkerPool if args.workers >= 1 else None
+        with ShardedFlowtree(
+            schema, config, num_shards=args.workers or args.shards, pool=pool
+        ) as summarizer:
+            consumed = _ingest(summarizer, records, args.batch_size)
+            tree = summarizer.merged_tree()
+        if pool is None:
+            via = f" via {args.shards} shards"
         else:
-            consumed = sharded.add_records(records)
-        tree = sharded.merged_tree()
-        via = f" via {args.shards} shards"
+            plural = "es" if args.workers != 1 else ""
+            via = f" via {args.workers} worker process{plural}"
     else:
         tree = Flowtree(schema, config)
-        if args.batch_size and args.batch_size > 0:
-            consumed = tree.add_batch(records, batch_size=args.batch_size)
-        else:
-            consumed = tree.add_records(records)
+        consumed = _ingest(tree, records, args.batch_size)
     args.output.write_bytes(to_bytes(tree))
     print(
         f"summarized {consumed} records into {tree.node_count()} nodes{via} "

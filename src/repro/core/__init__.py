@@ -8,7 +8,7 @@ heavy-hitter extraction) and the binary/JSON serialization formats.
 """
 
 from repro.core.compaction import Compactor, RebuildCompactor
-from repro.core.config import COMPACTION_MODES, EXACT_CONFIG, PAPER_EVAL_CONFIG, FlowtreeConfig
+from repro.core.config import EXACT_CONFIG, PAPER_EVAL_CONFIG, FlowtreeConfig
 from repro.core.errors import (
     ConfigurationError,
     DaemonError,
@@ -39,7 +39,7 @@ from repro.core.policy import (
     register_policy,
     schema_max_specificity,
 )
-from repro.core.parallel import ParallelShardedFlowtree, PendingSummaries
+from repro.core.parallel import PendingSummaries, ShardWorkerPool
 from repro.core.serialization import (
     decode_aggregated_batch,
     encode_aggregated_batch,
@@ -68,7 +68,7 @@ from repro.core.estimator import (
 __all__ = [
     "Flowtree",
     "ShardedFlowtree",
-    "ParallelShardedFlowtree",
+    "ShardWorkerPool",
     "PendingSummaries",
     "shard_index",
     "shard_config_for",
@@ -77,7 +77,6 @@ __all__ = [
     "FlowtreeConfig",
     "PAPER_EVAL_CONFIG",
     "EXACT_CONFIG",
-    "COMPACTION_MODES",
     "Compactor",
     "RebuildCompactor",
     "FlowKey",

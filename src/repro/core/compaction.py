@@ -25,6 +25,33 @@ from repro.core.policy import ChainBuilder, get_policy
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.core.flowtree import Flowtree
 
+#: Overshoot, as a fraction of ``max_nodes``, past which the bulk rebuild
+#: beats the incremental victim rounds.  Not a user option: the strategy is
+#: chosen from what the tree observes.  Tests that need one strategy forced
+#: patch this constant (``inf`` never rebuilds, ``0`` rebuilds on any excess).
+REBUILD_OVERSHOOT = 0.5
+
+
+def rebuild_pays_off(
+    kept: int, incoming: int, limit: int, max_nodes: Optional[int]
+) -> bool:
+    """The one incremental-vs-rebuild decision.
+
+    ``kept`` nodes sit in the tree, ``incoming`` distinct keys are about to
+    join them (0 for a plain ``compact()``) and the result has to fit
+    ``limit`` (``max_nodes`` while ingesting, the compaction target while
+    compacting).  ``max(kept, incoming)`` is a conservative lower bound on
+    the union: summing the two would count already-kept keys twice and
+    trigger destructive rebuilds in the steady state of the paper-like
+    regime, where each batch mostly re-covers the resident working set.
+    Small overshoots stay with the incremental :class:`Compactor` (what the
+    per-record path always ran); only the budget ≪ distinct-flows regime,
+    where victim rounds degenerate, goes to the :class:`RebuildCompactor`.
+    """
+    if max_nodes is None:
+        return False
+    return max(kept, incoming) - limit > REBUILD_OVERSHOOT * max_nodes
+
 
 class Compactor:
     """Implements the folding strategy configured by :class:`FlowtreeConfig`."""

@@ -8,13 +8,10 @@ selected, so the ablation benchmarks can sweep them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.core.errors import ConfigurationError
-
-#: Valid values of :attr:`FlowtreeConfig.compaction`.
-COMPACTION_MODES = ("incremental", "rebuild", "auto")
 
 
 @dataclass(frozen=True)
@@ -44,19 +41,10 @@ class FlowtreeConfig:
             mixes granularities (/30, /24, /8 in Fig. 2), which a stride of
             2–8 approximates well.
         port_stride: generalization step width, in bits, for port ranges.
-        compaction: which compaction strategy enforces the node budget.
-            ``"incremental"`` always runs the victim-selection rounds of
-            :class:`~repro.core.compaction.Compactor`; ``"rebuild"`` always
-            uses the single-pass bulk rebuild of
-            :class:`~repro.core.compaction.RebuildCompactor`; ``"auto"``
-            (the default) picks rebuild only when a batch overshoots the
-            budget by more than ``rebuild_threshold * max_nodes`` — i.e.
-            the budget ≪ distinct-flows regime where incremental rounds
-            degenerate — and stays incremental otherwise, preserving the
-            per-record path's behaviour in the paper-like regime.
-        rebuild_threshold: overshoot fraction of ``max_nodes`` beyond which
-            ``"auto"`` switches from incremental compaction to the bulk
-            rebuild (0.5 = switch when the excess exceeds half the budget).
+
+    Which compaction strategy enforces the budget is not configurable: the
+    tree picks it from the overshoot it observes (see
+    :func:`repro.core.compaction.rebuild_pays_off`).
     """
 
     max_nodes: Optional[int] = 40_000
@@ -67,8 +55,6 @@ class FlowtreeConfig:
     protected_min_count: int = 0
     ip_stride: int = 4
     port_stride: int = 4
-    compaction: str = "auto"
-    rebuild_threshold: float = 0.5
 
     def __post_init__(self) -> None:
         if self.max_nodes is not None:
@@ -95,15 +81,6 @@ class FlowtreeConfig:
             raise ConfigurationError(
                 f"port_stride must be in [1, 16], got {self.port_stride}"
             )
-        if self.compaction not in COMPACTION_MODES:
-            raise ConfigurationError(
-                f"compaction must be one of {sorted(COMPACTION_MODES)}, "
-                f"got {self.compaction!r}"
-            )
-        if not self.rebuild_threshold > 0:
-            raise ConfigurationError(
-                f"rebuild_threshold must be positive, got {self.rebuild_threshold}"
-            )
 
     @property
     def target_nodes(self) -> Optional[int]:
@@ -124,33 +101,6 @@ class FlowtreeConfig:
     def with_policy(self, policy: str) -> "FlowtreeConfig":
         """Copy of this config with a different generalization policy."""
         return replace(self, policy=policy)
-
-    def with_compaction(self, compaction: str) -> "FlowtreeConfig":
-        """Copy of this config with a different compaction strategy."""
-        return replace(self, compaction=compaction)
-
-    def rebuild_selected(self, projected_excess: int) -> bool:
-        """Whether the bulk rebuild compactor should handle this overshoot.
-
-        ``projected_excess`` is how far past the budget the tree is
-        projected to grow; callers must pass a *conservative* (never
-        over-counting) estimate, e.g. ``max(kept, pending) - max_nodes``
-        rather than ``kept + pending - max_nodes``, so that re-covering an
-        already-resident working set can never look like an overshoot.
-        ``"rebuild"`` always rebuilds on any positive excess,
-        ``"incremental"`` never does, and ``"auto"`` rebuilds only when
-        the overshoot exceeds ``rebuild_threshold * max_nodes`` — in the
-        paper-like regime (working set fits the budget) batches never
-        overshoot that far, so ``"auto"`` keeps the incremental path and
-        its equivalence guarantees there.
-        """
-        if self.max_nodes is None or projected_excess <= 0:
-            return False
-        if self.compaction == "incremental":
-            return False
-        if self.compaction == "rebuild":
-            return True
-        return projected_excess > self.rebuild_threshold * self.max_nodes
 
 
 #: Configuration used throughout the paper's evaluation (Fig. 3).

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from repro.core.compaction import Compactor, RebuildCompactor
+from repro.core.compaction import Compactor, RebuildCompactor, rebuild_pays_off
 from repro.core.config import FlowtreeConfig
 from repro.core.errors import QueryError, SchemaMismatchError
 from repro.core.key import FlowKey
@@ -66,6 +66,72 @@ def preaggregate_records(records, signature_of, count_bytes: bool) -> Dict[objec
                 entry[1] += getattr(record, "bytes", 0)
             entry[2] += 1
     return pending
+
+
+class RecordIngest:
+    """Record-level ingestion, written once over a key-level ``add``.
+
+    Shared by :class:`Flowtree` and
+    :class:`~repro.core.sharded.ShardedFlowtree`, so the per-record loops
+    and the batch chunking cannot drift apart.  Subclasses provide
+    ``_schema``, ``_config``, ``add(key, packets, bytes, flows)`` and
+    ``_add_chunk(records)`` (pre-aggregate one bounded chunk and apply it).
+    """
+
+    def add_record(self, record: object) -> None:
+        """Charge one flow/packet record (duck-typed, see :mod:`repro.flows.records`)."""
+        key = FlowKey.from_record(self._schema, record)
+        packets = getattr(record, "packets", 1)
+        record_bytes = getattr(record, "bytes", 0) if self._config.count_bytes else 0
+        self.add(key, packets=packets, bytes=record_bytes, flows=1)
+
+    def add_records(self, records: Iterable[object]) -> int:
+        """Charge every record of an iterable; returns the number consumed."""
+        count = 0
+        for record in records:
+            self.add_record(record)
+            count += 1
+        return count
+
+    def add_batch(self, records: Iterable[object], batch_size: int = DEFAULT_BATCH_SIZE) -> int:
+        """Batched ingestion fast path; returns the number of records consumed.
+
+        Produces exactly the counters a :meth:`add_record` loop over the
+        same records would, but does the work per *distinct* key instead of
+        per record:
+
+        1. records are pre-aggregated by their raw-attribute signature
+           (:meth:`~repro.features.schema.FlowSchema.signature_of`) in a
+           flat dict — one counter merge per record, no ``FlowKey``
+           construction,
+        2. at most one :class:`FlowKey` is built per distinct signature and
+           the keys are applied in first-seen order by a single
+           :meth:`Flowtree.add_aggregated` pass (per shard, when sharded), and
+        3. compaction is amortized: instead of a check per record, it runs
+           at batch boundaries and whenever a batch overshoots the node
+           budget by more than one victim-batch-sized margin.
+
+        ``batch_size`` bounds how many records are pre-aggregated before
+        the tree is touched, which keeps memory bounded on arbitrarily long
+        iterables (pass ``0`` to aggregate everything in one batch).
+
+        With compaction disabled the result is byte-identical to the
+        per-record loop; with a node budget, compaction fires at slightly
+        different points in the stream, so the two paths may fold different
+        victims (same totals, slightly different aggregates).
+        """
+        iterator = iter(records)
+        consumed = 0
+        while True:
+            if batch_size and batch_size > 0:
+                chunk = list(islice(iterator, batch_size))
+            else:
+                chunk = list(iterator)
+            if not chunk:
+                break
+            self._add_chunk(chunk)
+            consumed += len(chunk)
+        return consumed
 
 
 @dataclass
@@ -154,7 +220,7 @@ class Estimate:
         )
 
 
-class Flowtree:
+class Flowtree(RecordIngest):
     """Self-adjusting summary of hierarchical flows (the paper's contribution).
 
     Args:
@@ -307,117 +373,35 @@ class Flowtree:
         node.invalidate_subtree_cache()
         self._maybe_compact()
 
-    def add_record(self, record: object) -> None:
-        """Charge one flow/packet record (duck-typed, see :mod:`repro.flows.records`)."""
-        key = FlowKey.from_record(self._schema, record)
-        packets = getattr(record, "packets", 1)
-        record_bytes = getattr(record, "bytes", 0) if self._config.count_bytes else 0
-        self.add(key, packets=packets, bytes=record_bytes, flows=1)
-
-    def add_records(self, records: Iterable[object]) -> int:
-        """Charge every record of an iterable; returns the number consumed."""
-        count = 0
-        for record in records:
-            self.add_record(record)
-            count += 1
-        return count
-
-    def add_batch(self, records: Iterable[object], batch_size: int = DEFAULT_BATCH_SIZE) -> int:
-        """Batched ingestion fast path; returns the number of records consumed.
-
-        Produces exactly the counters a :meth:`add_record` loop over the
-        same records would, but does the work per *distinct* key instead of
-        per record:
-
-        1. records are pre-aggregated by their raw-attribute signature
-           (:meth:`~repro.features.schema.FlowSchema.signature_of`) in a
-           flat dict — one counter merge per record, no ``FlowKey``
-           construction,
-        2. one :class:`FlowKey` is built per distinct signature and
-           inserted in first-seen order by a single pass that resolves
-           ancestors through the populated trajectory levels instead of
-           walking every key's full canonical chain, and
-        3. compaction is amortized: instead of a check per record, it runs
-           at batch boundaries and whenever a batch overshoots the node
-           budget by more than one victim-batch-sized margin.
-
-        ``batch_size`` bounds how many records are pre-aggregated before
-        the tree is touched, which keeps memory bounded on arbitrarily long
-        iterables (pass ``0`` to aggregate everything in one batch).
-
-        With compaction disabled the result is byte-identical to the
-        per-record loop; with a node budget, compaction fires at slightly
-        different points in the stream, so the two paths may fold different
-        victims (same totals, slightly different aggregates).
-        """
-        iterator = iter(records)
-        consumed = 0
-        while True:
-            if batch_size and batch_size > 0:
-                chunk = list(islice(iterator, batch_size))
-            else:
-                chunk = list(iterator)
-            if not chunk:
-                break
-            consumed += self._add_batch_chunk(chunk)
-        return consumed
-
-    def _add_batch_chunk(self, records: List[object]) -> int:
+    def _add_chunk(self, records: List[object]) -> None:
         """Pre-aggregate one bounded chunk and apply it in a single pass.
 
-        When the chunk's distinct-key count selects the bulk rebuild (the
-        budget ≪ distinct-flows regime), the pre-aggregation dict is handed
-        to the rebuild compactor as-is: for schemas whose feature types all
-        set :attr:`~repro.features.base.Feature.raw_signature_tokens`, a
-        record signature already *is* the full-specificity token tuple the
-        fold operates on, so the per-key :class:`FlowKey` construction
-        below is skipped entirely for keys that will not survive the fold.
-        Other schemas still rebuild — through the key-items path of
-        :meth:`add_aggregated`, whose tokens are self-consistent for any
-        feature type.
+        The pre-aggregation dict goes to :meth:`add_aggregated` as-is, so
+        when the chunk lands on the rebuild side of the dispatch no
+        :class:`FlowKey` is built for keys that will not survive the fold.
         """
         pending = preaggregate_records(
             records, self._schema.signature_of, self._config.count_bytes
         )
-        if not pending:
-            return 0
-        max_nodes = self._config.max_nodes
-        if (
-            max_nodes is not None
-            and self._raw_token_schema
-            and self._config.compaction != "incremental"
-        ):
-            # Union lower bound, not a sum — see add_aggregated's dispatch.
-            projected_excess = max(len(self._nodes), len(pending)) - max_nodes
-            if self._config.rebuild_selected(projected_excess):
-                self._stats.updates += len(records)
-                self._rebuild_apply((), pending=pending)
-                return len(records)
-        schema = self._schema
-        items = (
-            (FlowKey.from_record(schema, entry[3]), entry[0], entry[1], entry[2])
-            for entry in pending.values()
-        )
-        if max_nodes is not None and self._config.compaction != "incremental":
-            # Give add_aggregated a sized sequence so its own rebuild
-            # dispatch stays possible (e.g. non-raw-token schemas); memory
-            # is already O(distinct keys) because of ``pending``.
-            items = list(items)
-        self.add_aggregated(items, record_count=len(records))
-        return len(records)
+        self.add_aggregated((), record_count=len(records), pending=pending)
 
     def add_aggregated(
         self,
-        items: Iterable[Tuple[FlowKey, int, int, int]],
+        items: Iterable[Tuple[FlowKey, int, int, int]] = (),
         record_count: Optional[int] = None,
+        pending: Optional[Dict[object, list]] = None,
     ) -> None:
         """Charge pre-aggregated ``(key, packets, bytes, flows)`` tuples.
 
         Equivalent to one :meth:`add` call per item except that compaction
         is checked once at the end instead of once per item.  ``record_count``
-        is how many raw records the items summarize (defaults to the number
-        of items) and is what :attr:`stats` ``updates`` advances by, so the
-        counter keeps meaning "records charged" on the batched path too.
+        is how many raw records the batch summarizes (defaults to the number
+        of distinct keys) and is what :attr:`stats` ``updates`` advances by,
+        so the counter keeps meaning "records charged" on the batched path
+        too.  ``pending`` carries (more of) the batch in its raw form — the
+        dict :func:`preaggregate_records` returns — which is how
+        :meth:`add_batch` hands its chunks over: their keys are built only
+        if the batch is actually inserted.
 
         Ancestor resolution goes through the populated-level index (see
         :meth:`_longest_matching_ancestor`): because the index is maintained
@@ -425,39 +409,44 @@ class Flowtree:
         populated generalization level — rather than a full canonical chain
         walk, and keys sharing a chain prefix share the cached level state.
 
-        Compaction strategy dispatch (``config.compaction``): when the
-        batch's projected overshoot selects the bulk rebuild (see
-        :meth:`FlowtreeConfig.rebuild_selected`), the items are *not*
-        inserted at all — the :class:`~repro.core.compaction.RebuildCompactor`
-        folds the kept nodes plus the batch straight down to the compaction
-        target in one bottom-up pass.  Otherwise the incremental pass below
-        runs unchanged.  Dispatch needs the batch size up front, so it only
-        happens for sized sequences (lists/tuples — what ``add_batch`` and
-        the sharded partitioner produce); generator inputs stream through
-        the incremental pass in bounded memory exactly as before, with
-        ``compact()`` still applying a forced ``"rebuild"`` mode at the
-        batch boundary.
+        Compaction strategy: when the batch overshoots the budget far
+        enough (:func:`~repro.core.compaction.rebuild_pays_off`), it is
+        *not* inserted at all — the
+        :class:`~repro.core.compaction.RebuildCompactor` folds the kept
+        nodes plus the batch straight down to the compaction target in one
+        bottom-up pass, working on raw record signatures where the schema
+        allows (:attr:`~repro.features.base.Feature.raw_signature_tokens`).
+        Otherwise the incremental pass below runs.  The decision needs the
+        batch size, so with a node budget any iterable is materialized
+        first: the same items give the same tree whatever their container.
         """
         nodes = self._nodes
         stats = self._stats
         max_nodes = self._config.max_nodes
-        if (
-            max_nodes is not None
-            and self._config.compaction != "incremental"
-            and isinstance(items, (list, tuple))
-        ):
-            # max() is a conservative lower bound on the post-aggregation
-            # tree size: every distinct batch key ends up in the union, and
-            # so does every kept node.  Summing the two instead would count
-            # already-kept keys twice and trigger destructive rebuilds in
-            # the steady state of the paper-like regime, where each batch
-            # mostly re-covers the resident working set.
-            projected_excess = max(len(nodes), len(items)) - max_nodes
-            if self._config.rebuild_selected(projected_excess):
-                stats.updates += record_count if record_count is not None else len(items)
-                self._rebuild_apply(items)
-                return
-        if self._config.compaction_enabled:
+        rebuild = False
+        if max_nodes is not None:
+            if not isinstance(items, (list, tuple)):
+                items = list(items)
+            incoming = len(items) + (len(pending) if pending else 0)
+            rebuild = rebuild_pays_off(len(nodes), incoming, max_nodes, max_nodes)
+        if pending and not (rebuild and self._raw_token_schema):
+            # The keys are needed after all: the incremental pass inserts
+            # them, and signatures of a non-raw-token schema are not fold
+            # tokens (key items are self-consistent for any feature type).
+            schema = self._schema
+            items = [
+                *items,
+                *(
+                    (FlowKey.from_record(schema, entry[3]), entry[0], entry[1], entry[2])
+                    for entry in pending.values()
+                ),
+            ]
+            pending = None
+        if rebuild:
+            stats.updates += record_count if record_count is not None else incoming
+            self._rebuild_apply(items, pending=pending)
+            return
+        if max_nodes is not None:
             # Let the batch overshoot the budget by one victim-batch-sized
             # margin before compacting mid-pass.  Compacting from a tree
             # that ballooned far past its budget degenerates (most leaves
@@ -573,11 +562,10 @@ class Flowtree:
         """Fold low-contribution nodes until the tree fits ``target_nodes``.
 
         Returns the number of nodes removed.  Public so callers can compact
-        eagerly before serializing or shipping a summary.  Which strategy
-        runs follows ``config.compaction``: ``"rebuild"`` (or ``"auto"``
-        with a large enough overshoot) folds the whole tree in one
-        bottom-up rebuild pass; otherwise the incremental victim rounds
-        run, as the per-record update path always did.
+        eagerly before serializing or shipping a summary.  A large enough
+        excess over the target folds the whole tree in one bottom-up
+        rebuild pass; otherwise the incremental victim rounds run, as the
+        per-record update path always did.
         """
         if target_nodes is None:
             target_nodes = self._config.target_nodes
@@ -586,12 +574,10 @@ class Flowtree:
         before = len(self._nodes)
         if before <= target_nodes:
             return 0
-        # Dispatch on the excess over the actual compaction target, so a
-        # forced "rebuild" mode applies to every compaction — including an
-        # eager compact() called while the tree sits between the target and
-        # max_nodes.  For "auto" the threshold itself still scales with
-        # max_nodes, keeping per-record overshoot compactions incremental.
-        if self._config.rebuild_selected(before - target_nodes):
+        # The excess is measured against the actual compaction target; the
+        # threshold still scales with max_nodes, which keeps the per-record
+        # path's overshoot compactions incremental.
+        if rebuild_pays_off(before, 0, target_nodes, self._config.max_nodes):
             self._rebuild_apply((), target_nodes=target_nodes)
             return before - len(self._nodes)
         removed = self._compactor.compact(self, target_nodes)
@@ -612,9 +598,9 @@ class Flowtree:
         raw pre-aggregation dict — see
         :meth:`~repro.core.compaction.RebuildCompactor.rebuild`).  The
         heavy lifting lives in the compactor; this wrapper owns the stats
-        accounting so every entry point (``_add_batch_chunk``,
-        ``add_aggregated`` dispatch and ``compact``) counts the work
-        identically.  Callers advance ``stats.updates`` themselves.
+        accounting so every entry point (``add_aggregated``, ``compact``
+        and ``merge_many``) counts the work identically.  Callers advance
+        ``stats.updates`` themselves.
         """
         if target_nodes is None:
             target_nodes = self._config.target_nodes or len(self._nodes)
@@ -914,9 +900,9 @@ class Flowtree:
     def merge_many(self, others: Iterable["Flowtree"]) -> None:
         """Merge many summaries into this tree: ``self += sum(others)``.
 
-        Below :data:`MERGE_FOLD_MIN_TREES` inputs (or with compaction
-        forced ``"incremental"``) this is exactly a :meth:`merge` loop.
-        At or above it, all input entries are folded into this tree in one
+        Below :data:`MERGE_FOLD_MIN_TREES` inputs this is exactly a
+        :meth:`merge` loop.  At or above it, all input entries are folded
+        into this tree in one
         token-space bulk pass (the PR 3 rebuild fold, with a no-fold
         target, so it acts as bulk union + deduplication): per-key
         ``_get_or_create_node`` chain resolution is replaced by one sorted
@@ -932,7 +918,7 @@ class Flowtree:
         others = list(others)
         for other in others:
             self._check_compatible(other)
-        if len(others) < MERGE_FOLD_MIN_TREES or self._config.compaction == "incremental":
+        if len(others) < MERGE_FOLD_MIN_TREES:
             for other in others:
                 self.merge(other)
             return
@@ -945,8 +931,8 @@ class Flowtree:
                     (key, counters.packets, counters.bytes, counters.flows)
                 )
         # No-fold target: the rebuild pass only unions and deduplicates;
-        # budget enforcement happens once below, with the configured
-        # strategy dispatch, mirroring the pairwise path's end state.
+        # budget enforcement happens once below, through compact()'s own
+        # strategy choice, mirroring the pairwise path's end state.
         self._rebuild_apply(items, target_nodes=len(self._nodes) + len(items) + 1)
         self._stats.merged_trees += len(others)
         self._maybe_compact()

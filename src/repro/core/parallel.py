@@ -1,19 +1,16 @@
-"""Process-parallel sharded ingestion.
+"""Worker-process backend for :class:`~repro.core.sharded.ShardedFlowtree`.
 
-:class:`ParallelShardedFlowtree` is the multi-core executor for the
-sharding scheme of :mod:`repro.core.sharded`: the same deterministic CRC-32
-partitioning, the same per-shard ``max_nodes / N`` budgets, but every shard
-tree lives in its own worker process.  The parent partitions each batch
-once (exactly like the in-process :class:`~repro.core.sharded.ShardedFlowtree`),
-ships the per-shard slices as compact :func:`~repro.core.serialization.encode_aggregated_batch`
-payloads — no pickling of keys or records — and pulls per-shard summaries
-back through the ordinary binary summary format, so the merged result is
-**byte-identical** to the in-process sharded path.  That equivalence is
-independent of the configured compaction strategy: the workers receive the
-same per-shard :class:`~repro.core.config.FlowtreeConfig` (``compaction``
-mode and ``rebuild_threshold`` included) and fold the same per-shard item
-sequences, so incremental, rebuild and auto dispatch all run identically on
-both execution paths.
+A :class:`ShardWorkerPool` owns N worker processes, each holding one shard
+tree.  It has two jobs: fold a partitioned sub-batch into shard *i*
+(:meth:`ShardWorkerPool.submit`) and hand the shard trees / summaries back
+(:meth:`ShardWorkerPool.shard_trees`, :meth:`ShardWorkerPool.begin_summaries`).
+Partitioning, record ingestion and queries stay in ``ShardedFlowtree``,
+which feeds the pool the same per-shard slices it would fold in-process.
+Sub-batches cross the pipe as compact
+:func:`~repro.core.serialization.encode_aggregated_batch` payloads — no
+pickling of keys or records — and summaries come back in the ordinary
+binary summary format, so worker shards are **byte-identical** to
+in-process ones.
 
 Reliability model: worker state is memory-only, so a worker crash loses
 everything it folded since its last shipped summary.  The parent therefore
@@ -33,26 +30,17 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
-from itertools import islice
-from typing import Dict, Iterable, Iterator, List, Optional, Protocol, Tuple
+from typing import Dict, List, Optional, Protocol, Tuple
 
 from repro.core.config import FlowtreeConfig
 from repro.core.errors import ConfigurationError, WorkerError
-from repro.core.flowtree import DEFAULT_BATCH_SIZE, Estimate, Flowtree
+from repro.core.flowtree import Flowtree
 from repro.core.key import FlowKey
-from repro.core.node import Counters
 from repro.core.serialization import (
     decode_aggregated_batch,
     encode_aggregated_batch,
     from_bytes,
     to_bytes,
-)
-from repro.core.sharded import (
-    DEFAULT_NUM_SHARDS,
-    ShardedFlowtree,
-    partition_aggregated,
-    shard_config_for,
-    shard_index,
 )
 from repro.features.schema import FlowSchema, schema_by_name
 
@@ -97,9 +85,9 @@ def worker_context(start_method: Optional[str] = None):
 
     Defaults to ``fork`` where available (cheapest: workers inherit loaded
     modules) and the platform default elsewhere.  Shared by every component
-    that spawns worker processes (:class:`ParallelShardedFlowtree`, the
-    parallel rebuild fold in :mod:`repro.core.compaction`), so they all
-    make the same platform choice.
+    that spawns worker processes (:class:`ShardWorkerPool`, the parallel
+    rebuild fold in :mod:`repro.core.compaction`), so they all make the
+    same platform choice.
     """
     if start_method is None:
         methods = multiprocessing.get_all_start_methods()
@@ -167,14 +155,14 @@ class _WorkerHandle:
 class PendingSummaries:
     """Handle for one in-flight round of per-shard summary requests.
 
-    Returned by :meth:`ParallelShardedFlowtree.begin_summaries`.  Workers
+    Returned by :meth:`ShardWorkerPool.begin_summaries`.  Workers
     process commands in order, so each reply arrives only after every
     sub-batch submitted before the request has been folded — collecting is
     the pipeline's join point.  ``poll`` collects whatever is ready without
     blocking; ``collect`` blocks for the rest.
     """
 
-    def __init__(self, owner: "ParallelShardedFlowtree", reset: bool) -> None:
+    def __init__(self, owner: "ShardWorkerPool", reset: bool) -> None:
         self._owner = owner
         self.reset = reset
         self.slots: List[Optional[bytes]] = [None] * owner.num_workers
@@ -205,39 +193,30 @@ class PendingSummaries:
         return [self.collect_worker(index) for index in range(len(self.slots))]
 
 
-class ParallelShardedFlowtree:
-    """N hash-partitioned Flowtrees, one per worker process.
+class ShardWorkerPool:
+    """N worker processes, each owning one shard tree.
 
-    Drop-in for :class:`~repro.core.sharded.ShardedFlowtree` on the
-    ingestion and query surface, with the shard trees owned by worker
-    processes.  Queries materialize a local view by pulling per-shard
-    summaries back (cached until the next submission), so repeated queries
-    between batches cost one round-trip, not one per call.
+    Built by :class:`~repro.core.sharded.ShardedFlowtree` when its ``pool``
+    argument names this class; it is a backend, not a summary — it neither
+    partitions records nor answers queries.
 
     Args:
         schema: flow schema shared by every shard.
-        config: logical configuration; ``max_nodes`` is the total budget,
-            split across workers exactly like ``ShardedFlowtree`` splits it
-            across shards.
-        num_workers: worker process count == shard count, so placement is
-            the same CRC-32 partition the in-process path uses.
+        shard_config: the *per-shard* configuration every worker builds its
+            tree with (see :func:`~repro.core.sharded.shard_config_for`).
+        num_workers: worker process count == shard count.
         start_method: multiprocessing start method; defaults to ``fork``
             where available (cheapest, inherits loaded modules) and the
             platform default elsewhere.
-
-    Example::
-
-        with ParallelShardedFlowtree(SCHEMA_4F, FlowtreeConfig(max_nodes=40_000),
-                                     num_workers=4) as parallel:
-            parallel.add_batch(trace)
-            tree = parallel.merged_tree()   # byte-identical to the in-process path
+        faults: optional fault plan consulted at the
+            ``parallel.worker-crash`` seam.
     """
 
     def __init__(
         self,
         schema: FlowSchema,
-        config: Optional[FlowtreeConfig] = None,
-        num_workers: int = DEFAULT_NUM_SHARDS,
+        shard_config: FlowtreeConfig,
+        num_workers: int,
         start_method: Optional[str] = None,
         faults: Optional[FaultHooks] = None,
     ) -> None:
@@ -258,16 +237,14 @@ class ParallelShardedFlowtree:
                 f"that name; worker processes would summarize different keys"
             )
         self._schema = schema
-        self._config = config or FlowtreeConfig()
         self._faults = faults
         self._num_workers = num_workers
-        self._shard_config = shard_config_for(self._config, num_workers)
+        self._shard_config = shard_config
         self._context = worker_context(start_method)
         self._workers: List[_WorkerHandle] = []
         self._pending: Optional[PendingSummaries] = None
-        self._records_ingested = 0
         self._closed = False
-        self._view: Optional[ShardedFlowtree] = None
+        self._view: Optional[Tuple[Flowtree, ...]] = None
         for index in range(num_workers):
             handle = _WorkerHandle(index)
             self._spawn(handle)
@@ -444,41 +421,38 @@ class ParallelShardedFlowtree:
         """Serialized per-shard summaries, in shard order (blocking)."""
         return self.begin_summaries(reset=reset).collect()
 
-    # -- basic properties -----------------------------------------------------
+    def shard_trees(self) -> Tuple[Flowtree, ...]:
+        """In-process replicas of the shard trees, in shard order.
 
-    @property
-    def schema(self) -> FlowSchema:
-        """The flow schema every shard summarizes."""
-        return self._schema
-
-    @property
-    def config(self) -> FlowtreeConfig:
-        """The logical (whole-structure) configuration."""
-        return self._config
+        Cached until the next submission or reset, so repeated queries
+        between batches cost one round-trip, not one per call.  Pulling
+        them is a checkpoint (a summarize-without-reset round).
+        """
+        if self._view is None:
+            self._view = tuple(from_bytes(payload) for payload in self.shard_summaries())
+        return self._view
 
     @property
     def num_workers(self) -> int:
         """Worker process count (== shard count)."""
         return self._num_workers
 
-    @property
-    def num_shards(self) -> int:
-        """Alias of :attr:`num_workers`, mirroring ``ShardedFlowtree``."""
-        return self._num_workers
+    # -- submission -----------------------------------------------------------
 
-    @property
-    def records_ingested(self) -> int:
-        """Raw records submitted through any ingestion path."""
-        return self._records_ingested
-
-    # -- update path ----------------------------------------------------------
-
-    def _submit_shard_batch(
+    def submit(
         self,
         index: int,
         items: List[Tuple[FlowKey, int, int, int]],
         record_count: int,
     ) -> None:
+        """Hand shard ``index`` one pre-aggregated sub-batch to fold.
+
+        Asynchronous: returns once the payload is journaled and written to
+        the worker's pipe; the worker folds it through the same
+        ``add_aggregated`` call an in-process shard would make.
+        """
+        self._ensure_open()
+        self._view = None
         if self._faults is not None and self._faults.should_fire(_FAULT_WORKER_CRASH):
             # Kill the worker *before* the journal gains this batch: the
             # respawn replays checkpoint + journal (including this entry,
@@ -505,147 +479,29 @@ class ParallelShardedFlowtree:
             # untouched, so results are unaffected.
             self.shard_summaries()
 
-    def add(self, key: FlowKey, packets: int = 1, bytes: int = 0, flows: int = 1) -> None:
-        """Charge counters to ``key`` in its shard (one single-item sub-batch).
+    # -- stats and test hooks ---------------------------------------------------
 
-        Correctness-first, not a fast path: every call crosses the process
-        boundary (encode + pipe + journal entry), which is orders of
-        magnitude slower than :meth:`add_batch`.  Use it (and
-        :meth:`add_record`/:meth:`add_records`) when per-record semantics
-        must exactly mirror ``ShardedFlowtree``'s per-record path; batch
-        everything else.
-        """
-        self._ensure_open()
-        self._submit_shard_batch(
-            shard_index(key, self._num_workers), [(key, packets, bytes, flows)], 1
-        )
-        self._records_ingested += 1
-        self._view = None
-
-    def add_record(self, record: object) -> None:
-        """Charge one flow/packet record to the shard owning its key."""
-        key = FlowKey.from_record(self._schema, record)
-        packets = getattr(record, "packets", 1)
-        record_bytes = getattr(record, "bytes", 0) if self._config.count_bytes else 0
-        self.add(key, packets=packets, bytes=record_bytes, flows=1)
-
-    def add_records(self, records: Iterable[object]) -> int:
-        """Per-record ingestion of an iterable; returns records consumed."""
-        count = 0
-        for record in records:
-            self.add_record(record)
-            count += 1
-        return count
-
-    def add_batch(
-        self, records: Iterable[object], batch_size: int = DEFAULT_BATCH_SIZE
-    ) -> int:
-        """Batched, partitioned, process-parallel ingestion; returns records consumed.
-
-        Chunking, pre-aggregation and partitioning are exactly the
-        in-process :meth:`ShardedFlowtree.add_batch` steps (the code is
-        shared), so every worker folds the same ``add_aggregated`` calls in
-        the same order the in-process shard would — which is what makes the
-        merged result byte-identical.  Submission is asynchronous: the call
-        returns once the sub-batches are handed to the workers, and the
-        next chunk is partitioned while they fold.
-        """
-        self._ensure_open()
-        iterator = iter(records)
-        consumed = 0
-        while True:
-            if batch_size and batch_size > 0:
-                chunk = list(islice(iterator, batch_size))
-            else:
-                chunk = list(iterator)
-            if not chunk:
-                break
-            per_shard, per_shard_records = partition_aggregated(
-                chunk, self._schema, self._config.count_bytes, self._num_workers
-            )
-            for index, items in enumerate(per_shard):
-                if items:
-                    self._submit_shard_batch(index, items, per_shard_records[index])
-            consumed += len(chunk)
-        self._records_ingested += consumed
-        if consumed:
-            self._view = None
-        return consumed
-
-    # -- queries and export ----------------------------------------------------
-
-    def _local_view(self) -> ShardedFlowtree:
-        """In-process replica of the shard trees (cached until the next submit)."""
-        if self._view is None:
-            payloads = self.shard_summaries(reset=False)
-            trees = [from_bytes(payload) for payload in payloads]
-            self._view = ShardedFlowtree.from_shard_trees(
-                self._schema, self._config, trees,
-                records_ingested=self._records_ingested,
-            )
-        return self._view
-
-    def __len__(self) -> int:
-        return len(self._local_view())
-
-    def node_count(self) -> int:
-        """Total kept nodes across all shards."""
-        return self._local_view().node_count()
-
-    def total_counters(self) -> Counters:
-        """Total traffic summarized across all shards."""
-        return self._local_view().total_counters()
-
-    def items(self) -> Iterator[Tuple[FlowKey, Counters]]:
-        """Iterate ``(key, complementary counters)`` over every shard."""
-        return self._local_view().items()
-
-    def estimate(self, key: FlowKey) -> Estimate:
-        """Estimated popularity of ``key``, summed across shards."""
-        return self._local_view().estimate(key)
-
-    def estimate_many(self, keys: Iterable[FlowKey]) -> Dict[FlowKey, Estimate]:
-        """Batch estimates over the local shard view (byte-identical to
-        per-key :meth:`estimate`; the view's indexes are primed once)."""
-        return self._local_view().estimate_many(keys)
-
-    def merged_tree(self, config: Optional[FlowtreeConfig] = None) -> Flowtree:
-        """Merge every shard into one Flowtree via the paper's merge operator."""
-        return self._local_view().merged_tree(config)
-
-    def validate(self) -> None:
-        """Validate the structural invariants of every shard replica."""
-        self._local_view().validate()
-
-    # -- maintenance ------------------------------------------------------------
-
-    def stats_snapshot(self) -> Dict[str, int]:
-        """Work counters over all workers, plus executor-level stats.
-
-        The per-tree counters (``updates``, ``inserts``, ...) and the
-        structure-level ones (``shards``, ``nodes``, ``records_ingested``)
-        use the same keys as :meth:`ShardedFlowtree.stats_snapshot`, so the
-        two modes are directly comparable; on top the executor reports
-        ``workers``, ``batches_submitted``, ``submitted_payload_bytes``,
-        ``worker_restarts`` and ``journal_entries`` (the queue/replay
-        depth of the crash-recovery buffer).
-        """
+    def shard_stats(self) -> List[Dict[str, int]]:
+        """Per-worker ``UpdateStats`` snapshots plus ``nodes``, in shard order."""
         self._ensure_open()
         self._collect_outstanding()
-        totals: Dict[str, int] = {}
+        snapshots = []
         for handle in self._workers:
             self._send(handle, _OP_STATS)
-            reply = self._recv(handle, _OP_STATS)
-            for name, value in json.loads(reply.decode("utf-8")).items():
-                totals[name] = totals.get(name, 0) + value
-        totals["shards"] = self._num_workers
-        totals["records_ingested"] = self._records_ingested
-        totals["workers"] = self._num_workers
-        totals["batches_submitted"] = sum(h.batches_sent for h in self._workers)
-        totals["submitted_payload_bytes"] = sum(h.payload_bytes for h in self._workers)
-        totals["worker_restarts"] = sum(h.restarts for h in self._workers)
-        totals["journal_entries"] = sum(len(h.journal) for h in self._workers)
-        return totals
+            snapshots.append(json.loads(self._recv(handle, _OP_STATS).decode("utf-8")))
+        return snapshots
+
+    def stats(self) -> Dict[str, int]:
+        """Pool-level counters: ``workers``, ``batches_submitted``,
+        ``submitted_payload_bytes``, ``worker_restarts`` and
+        ``journal_entries`` (the replay depth of the crash-recovery buffer)."""
+        return {
+            "workers": self._num_workers,
+            "batches_submitted": sum(h.batches_sent for h in self._workers),
+            "submitted_payload_bytes": sum(h.payload_bytes for h in self._workers),
+            "worker_restarts": sum(h.restarts for h in self._workers),
+            "journal_entries": sum(len(h.journal) for h in self._workers),
+        }
 
     def inject_worker_failure(self, index: int) -> None:
         """Kill one worker mid-stream (test hook for the recovery path).
@@ -664,7 +520,7 @@ class ParallelShardedFlowtree:
 
     def _ensure_open(self) -> None:
         if self._closed:
-            raise WorkerError("ParallelShardedFlowtree is closed")
+            raise WorkerError("ShardWorkerPool is closed")
 
     def close(self) -> None:
         """Shut every worker down (idempotent; further use raises)."""
@@ -688,12 +544,6 @@ class ParallelShardedFlowtree:
                 except OSError:
                     pass
 
-    def __enter__(self) -> "ParallelShardedFlowtree":
-        return self
-
-    def __exit__(self, exc_type, exc_value, traceback) -> None:
-        self.close()
-
     def __del__(self) -> None:  # pragma: no cover - interpreter shutdown ordering
         try:
             self.close()
@@ -705,6 +555,6 @@ class ParallelShardedFlowtree:
     def __repr__(self) -> str:
         state = "closed" if self._closed else "open"
         return (
-            f"ParallelShardedFlowtree(schema={self._schema.name!r}, "
+            f"ShardWorkerPool(schema={self._schema.name!r}, "
             f"workers={self._num_workers}, {state})"
         )

@@ -213,9 +213,12 @@ def from_bytes(data: bytes) -> Flowtree:
 # -- aggregated sub-batch format -------------------------------------------------
 
 BATCH_MAGIC = b"FTAB"
-BATCH_FORMAT_VERSION = 2
+#: Version 3 has the version-2 section layout; the bump marks the removal
+#: of the version-1 reader — a decoder accepts exactly the version it writes
+#: (sub-batches only cross pipes between a parent and its own workers).
+BATCH_FORMAT_VERSION = 3
 
-#: Section modes inside a version-2 payload.  A payload is a sequence of
+#: Section modes inside a payload.  A payload is a sequence of
 #: sections, each a run of consecutive entries sharing one layout, so one
 #: sub-batch may mix fully specific keys (fixed-width) with wildcarded keys
 #: (varint strings) while preserving the original entry order exactly.
@@ -384,7 +387,7 @@ def encode_aggregated_batch(
     The payload is a sequence of *sections*: runs of consecutive entries
     whose fully specific keys take the fixed-width struct layout
     (:class:`_FixedCodec`), with wildcarded keys (and counters outside
-    int64) falling back to the version-1 varint-string entry layout.  The
+    int64) falling back to a varint-string entry layout.  The
     negotiation is automatic and per run, so mixed batches round-trip in
     their original order.  ``allow_fixed=False`` forces every section onto
     the varint layout (the equivalence baseline used by tests and the
@@ -496,23 +499,16 @@ def decode_aggregated_batch(
 
     Returns ``(items, record_count)`` with the items in their original
     order, so a worker replays exactly the ``add_aggregated`` call the
-    in-process sharded path would have made.  Version-1 payloads (one
-    implicit varint section) are still accepted; version-2 payloads decode
-    section by section, with fixed-width sections unpacked zero-copy
-    through a :func:`memoryview` (see :func:`_decode_fixed_section`).
+    in-process sharded path would have made.  Only the version this build
+    writes is accepted.  Payloads decode section by section, with
+    fixed-width sections unpacked zero-copy through a :func:`memoryview`
+    (see :func:`_decode_fixed_section`).
     """
     if len(data) < len(BATCH_MAGIC) + 1 or data[: len(BATCH_MAGIC)] != BATCH_MAGIC:
         raise SerializationError("not an aggregated sub-batch (bad magic)")
     version = data[len(BATCH_MAGIC)]
     offset = len(BATCH_MAGIC) + 1
     items: List[Tuple[FlowKey, int, int, int]] = []
-    if version == 1:
-        record_count, offset = decode_varint(data, offset)
-        count, offset = decode_varint(data, offset)
-        for _ in range(count):
-            entry, offset = _decode_varint_entry(data, offset, schema)
-            items.append(entry)
-        return items, record_count
     if version != BATCH_FORMAT_VERSION:
         raise SerializationError(f"unsupported sub-batch format version {version}")
     record_count, offset = decode_varint(data, offset)
@@ -590,7 +586,6 @@ def from_json(text: str) -> Flowtree:
         policy=document.get("policy", "round-robin"),
     )
     tree = Flowtree(schema, config)
-    nodes = sorted(document.get("nodes", []), key=lambda entry: len(entry["key"]))
     for entry in document.get("nodes", []):
         key = FlowKey.from_wire(schema, entry["key"])
         node = tree.root if key.is_root else tree._get_or_create_node(key)
@@ -598,7 +593,6 @@ def from_json(text: str) -> Flowtree:
         node.counters.bytes += int(entry.get("bytes", 0))
         node.counters.flows += int(entry.get("flows", 0))
         node.invalidate_subtree_cache()
-    del nodes
     return tree
 
 

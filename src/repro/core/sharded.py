@@ -14,27 +14,28 @@ that is needed to get back a single queryable summary
 budget, and because compaction folds along the same canonical chains in
 every shard, the merged tree is schema- and policy-compatible with any
 unsharded summary.  This is the single-process counterpart of the paper's
-collector merging per-site summaries — and the foundation for running the
-shards on separate cores or hosts later.
+collector merging per-site summaries.
+
+Where the shards live is one constructor argument: by default they are
+in-process trees; with ``pool=ShardWorkerPool`` each shard is owned by a
+worker process (:mod:`repro.core.parallel`) and the same partition step
+feeds it, so both placements produce byte-identical shard trees.
 """
 
 from __future__ import annotations
 
 import zlib
-from itertools import islice
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.config import FlowtreeConfig
 from repro.core.errors import ConfigurationError
-from repro.core.flowtree import (
-    DEFAULT_BATCH_SIZE,
-    Estimate,
-    Flowtree,
-    preaggregate_records,
-)
+from repro.core.flowtree import Estimate, Flowtree, RecordIngest, preaggregate_records
 from repro.core.key import FlowKey
 from repro.core.node import Counters
 from repro.features.schema import FlowSchema
+
+if TYPE_CHECKING:  # pragma: no cover - the pool is passed in, never imported
+    from repro.core.parallel import ShardWorkerPool
 
 #: Shards used when the caller does not specify a count.
 DEFAULT_NUM_SHARDS = 4
@@ -83,13 +84,9 @@ def shard_config_for(config: FlowtreeConfig, num_shards: int) -> FlowtreeConfig:
     """Per-shard configuration: the total node budget split evenly.
 
     Each shard keeps at least the minimum viable 16 nodes, so very small
-    budgets with many shards may slightly overshoot the total.  Shared by
-    :class:`ShardedFlowtree` and the process-parallel executor so both
-    paths build identically configured shard trees.  Every other knob —
-    including the ``compaction`` strategy and ``rebuild_threshold`` —
-    carries over verbatim, so mode dispatch happens per shard against the
-    shard's own (divided) budget and the two execution paths cannot
-    disagree on it.
+    budgets with many shards may slightly overshoot the total.  Every
+    other knob carries over verbatim, and the compaction strategy is chosen
+    per shard against the shard's own (divided) budget.
     """
     if config.max_nodes is None:
         return config
@@ -106,11 +103,10 @@ def partition_aggregated(
 
     Returns ``(per_shard_items, per_shard_record_counts)``: for every shard
     the ``(key, packets, bytes, flows)`` tuples it must fold (in first-seen
-    order) and how many raw records those tuples summarize.  This is the
-    single partitioning step both the in-process :class:`ShardedFlowtree`
-    and the process-parallel executor go through, which is what makes the
-    two paths byte-identical — they cannot disagree on placement or on the
-    per-shard fold order.
+    order) and how many raw records those tuples summarize.  Shards fold
+    exactly these slices wherever they live, which is what makes in-process
+    and worker-process shards byte-identical — they cannot disagree on
+    placement or on the per-shard fold order.
     """
     pending = preaggregate_records(chunk, schema.signature_of, count_bytes)
     per_shard: List[List[Tuple[FlowKey, int, int, int]]] = [[] for _ in range(num_shards)]
@@ -123,7 +119,7 @@ def partition_aggregated(
     return per_shard, per_shard_records
 
 
-class ShardedFlowtree:
+class ShardedFlowtree(RecordIngest):
     """N hash-partitioned Flowtrees behaving like one bigger one.
 
     Args:
@@ -133,12 +129,25 @@ class ShardedFlowtree:
             minimum viable 16 nodes, so very small budgets with many shards
             may slightly overshoot the total).
         num_shards: how many partitions to maintain.
+        pool: where the shards live.  ``None`` (default) keeps them as
+            trees in this process.  Pass
+            :class:`~repro.core.parallel.ShardWorkerPool` (or a
+            ``functools.partial`` of it carrying ``start_method`` /
+            ``faults``) to give every shard its own worker process; it is
+            called as ``pool(schema, shard_config, num_shards)``.  Queries
+            then run on replicas pulled back from the workers (cached
+            until the next submission), and :meth:`close` — or leaving the
+            ``with`` block — shuts the workers down.
 
     Example::
 
         sharded = ShardedFlowtree(SCHEMA_4F, FlowtreeConfig(max_nodes=40_000), num_shards=8)
         sharded.add_batch(trace)
         tree = sharded.merged_tree()   # ordinary Flowtree, full budget
+
+        with ShardedFlowtree(SCHEMA_4F, config, num_shards=4, pool=ShardWorkerPool) as sharded:
+            sharded.add_batch(trace)
+            tree = sharded.merged_tree()   # byte-identical to the in-process shards
     """
 
     def __init__(
@@ -146,6 +155,7 @@ class ShardedFlowtree:
         schema: FlowSchema,
         config: Optional[FlowtreeConfig] = None,
         num_shards: int = DEFAULT_NUM_SHARDS,
+        pool: Optional[Callable[[FlowSchema, FlowtreeConfig, int], "ShardWorkerPool"]] = None,
     ) -> None:
         if num_shards < 1:
             raise ConfigurationError(f"num_shards must be at least 1, got {num_shards}")
@@ -153,9 +163,11 @@ class ShardedFlowtree:
         self._config = config or FlowtreeConfig()
         self._num_shards = num_shards
         shard_config = shard_config_for(self._config, num_shards)
-        self._shards: Tuple[Flowtree, ...] = tuple(
-            Flowtree(schema, shard_config) for _ in range(num_shards)
-        )
+        self._pool = self._shards = None
+        if pool is None:
+            self._shards = tuple(Flowtree(schema, shard_config) for _ in range(num_shards))
+        else:
+            self._pool = pool(schema, shard_config, num_shards)
         self._records_ingested = 0
 
     @classmethod
@@ -170,8 +182,8 @@ class ShardedFlowtree:
 
         The trees must have been partitioned by :func:`shard_index` over
         ``len(trees)`` shards for queries to be meaningful; this is how the
-        process-parallel executor materializes a queryable local view from
-        the per-worker summaries it pulls back.
+        daemon turns the per-worker summaries of a closed bin into one
+        merged tree.
         """
         if not trees:
             raise ConfigurationError("from_shard_trees needs at least one shard tree")
@@ -181,9 +193,50 @@ class ShardedFlowtree:
         view._schema = schema
         view._config = config or FlowtreeConfig()
         view._num_shards = len(trees)
+        view._pool = None
         view._shards = tuple(trees)
         view._records_ingested = records_ingested
         return view
+
+    # -- where the shards live -------------------------------------------------
+
+    def _apply(
+        self, index: int, items: List[Tuple[FlowKey, int, int, int]], record_count: int
+    ) -> None:
+        """Fold one partitioned sub-batch into shard ``index``."""
+        if self._pool is None:
+            self._shards[index].add_aggregated(items, record_count=record_count)
+        else:
+            self._pool.submit(index, items, record_count)
+
+    def _trees(self) -> Tuple[Flowtree, ...]:
+        """The shard trees to read from (worker shards: cached replicas)."""
+        if self._pool is None:
+            return self._shards
+        return self._pool.shard_trees()
+
+    def _local_shards(self, operation: str) -> Tuple[Flowtree, ...]:
+        if self._pool is not None:
+            raise ConfigurationError(
+                f"{operation} needs in-process shards; these live in worker processes"
+            )
+        return self._shards
+
+    @property
+    def pool(self) -> Optional["ShardWorkerPool"]:
+        """The worker pool owning the shards (``None`` when in-process)."""
+        return self._pool
+
+    def close(self) -> None:
+        """Shut the worker pool down, if any (idempotent)."""
+        if self._pool is not None:
+            self._pool.close()
+
+    def __enter__(self) -> "ShardedFlowtree":
+        return self
+
+    def __exit__(self, exc_type, exc_value, traceback) -> None:
+        self.close()
 
     # -- basic properties -----------------------------------------------------
 
@@ -205,14 +258,14 @@ class ShardedFlowtree:
     @property
     def shards(self) -> Tuple[Flowtree, ...]:
         """The per-shard Flowtrees (read-only view; each is a normal tree)."""
-        return self._shards
+        return self._trees()
 
     def __len__(self) -> int:
-        return sum(len(shard) for shard in self._shards)
+        return sum(len(shard) for shard in self._trees())
 
     def node_count(self) -> int:
         """Total kept nodes across all shards (each shard has its own root)."""
-        return sum(shard.node_count() for shard in self._shards)
+        return len(self)
 
     def shard_for_key(self, key: FlowKey) -> int:
         """Index of the shard responsible for ``key``."""
@@ -221,68 +274,32 @@ class ShardedFlowtree:
     # -- update path ----------------------------------------------------------
 
     def add(self, key: FlowKey, packets: int = 1, bytes: int = 0, flows: int = 1) -> None:
-        """Charge counters to ``key`` in its shard."""
-        self._shards[self.shard_for_key(key)].add(
-            key, packets=packets, bytes=bytes, flows=flows
-        )
-        self._records_ingested += 1
+        """Charge counters to ``key`` in its shard (a one-item sub-batch).
 
-    def add_record(self, record: object) -> None:
-        """Charge one flow/packet record to the shard owning its key."""
-        key = FlowKey.from_record(self._schema, record)
-        packets = getattr(record, "packets", 1)
-        record_bytes = getattr(record, "bytes", 0) if self._config.count_bytes else 0
-        self._shards[self.shard_for_key(key)].add(
-            key, packets=packets, bytes=record_bytes, flows=1
-        )
-        self._records_ingested += 1
-
-    def add_records(self, records: Iterable[object]) -> int:
-        """Per-record ingestion of an iterable; returns records consumed."""
-        count = 0
-        for record in records:
-            self.add_record(record)
-            count += 1
-        return count
-
-    def add_batch(
-        self, records: Iterable[object], batch_size: int = DEFAULT_BATCH_SIZE
-    ) -> int:
-        """Batched, partitioned ingestion; returns records consumed.
-
-        Records are pre-aggregated by raw-attribute signature exactly like
-        :meth:`Flowtree.add_batch`, then the distinct keys are partitioned
-        and each shard applies its slice in one
-        :meth:`~repro.core.flowtree.Flowtree.add_aggregated` pass, so the
-        per-record costs are paid once no matter how many shards exist.
+        With worker-process shards every call crosses the process boundary;
+        batch wherever per-record semantics are not required.
         """
-        iterator = iter(records)
-        consumed = 0
-        while True:
-            if batch_size and batch_size > 0:
-                chunk = list(islice(iterator, batch_size))
-            else:
-                chunk = list(iterator)
-            if not chunk:
-                break
-            per_shard, per_shard_records = partition_aggregated(
-                chunk, self._schema, self._config.count_bytes, self._num_shards
-            )
-            for index, items in enumerate(per_shard):
-                if items:
-                    self._shards[index].add_aggregated(
-                        items, record_count=per_shard_records[index]
-                    )
-            consumed += len(chunk)
-        self._records_ingested += consumed
-        return consumed
+        self._apply(self.shard_for_key(key), [(key, packets, bytes, flows)], 1)
+        self._records_ingested += 1
+
+    def _add_chunk(self, records: List[object]) -> None:
+        """Pre-aggregate and partition one chunk; each shard folds its slice
+        in one :meth:`~repro.core.flowtree.Flowtree.add_aggregated` pass, so
+        the per-record costs are paid once no matter how many shards exist."""
+        per_shard, per_shard_records = partition_aggregated(
+            records, self._schema, self._config.count_bytes, self._num_shards
+        )
+        for index, items in enumerate(per_shard):
+            if items:
+                self._apply(index, items, per_shard_records[index])
+        self._records_ingested += len(records)
 
     # -- queries and export ----------------------------------------------------
 
     def total_counters(self) -> Counters:
         """Total traffic summarized across all shards."""
         total = Counters()
-        for shard in self._shards:
+        for shard in self._trees():
             total.add(shard.total_counters())
         return total
 
@@ -292,7 +309,7 @@ class ShardedFlowtree:
         Shard roots all carry the same all-wildcard key; callers that need
         one coherent tree should use :meth:`merged_tree` instead.
         """
-        for shard in self._shards:
+        for shard in self._trees():
             yield from shard.items()
 
     def estimate(self, key: FlowKey) -> Estimate:
@@ -305,7 +322,7 @@ class ShardedFlowtree:
         :meth:`merged_tree` once and query that.
         """
         return _combine_shard_estimates(
-            key, [shard.estimate(key) for shard in self._shards]
+            key, [shard.estimate(key) for shard in self._trees()]
         )
 
     def estimate_many(self, keys: Iterable[FlowKey]) -> Dict[FlowKey, Estimate]:
@@ -320,7 +337,7 @@ class ShardedFlowtree:
         from repro.core.estimator import estimate_many as _estimate_many
 
         keys = list(keys)
-        per_shard = [_estimate_many(shard, keys) for shard in self._shards]
+        per_shard = [_estimate_many(shard, keys) for shard in self._trees()]
         return {
             key: _combine_shard_estimates(
                 key, [answers[key] for answers in per_shard]
@@ -335,38 +352,39 @@ class ShardedFlowtree:
         ``config`` overrides it, so merging re-enforces the total budget.
         """
         result = Flowtree(self._schema, config or self._config)
-        for shard in self._shards:
+        for shard in self._trees():
             result.merge(shard)
         return result
 
     # -- maintenance ------------------------------------------------------------
 
     def compact(self) -> int:
-        """Compact every shard to its target size; returns nodes removed."""
-        return sum(shard.compact() for shard in self._shards)
+        """Compact every (in-process) shard to its target size; returns nodes removed."""
+        return sum(shard.compact() for shard in self._local_shards("compact()"))
 
     def compact_parallel(
         self,
         processes: Optional[int] = None,
         start_method: Optional[str] = None,
     ) -> int:
-        """Rebuild-fold every over-budget shard with one worker per fold.
+        """Rebuild-fold every over-budget (in-process) shard, one worker per fold.
 
-        Byte-identical to calling :meth:`compact` under the ``rebuild``
-        compaction mode — each shard's fold runs the exact serial algorithm
-        on the exact serial input, just in its own process (see
-        :func:`repro.core.compaction.parallel_rebuild`).  Returns the total
-        number of entries folded away.
+        Byte-identical to the serial rebuild fold of each shard — the exact
+        serial algorithm on the exact serial input, just in its own process
+        (see :func:`repro.core.compaction.parallel_rebuild`).  Returns the
+        total number of entries folded away.
         """
         from repro.core.compaction import parallel_rebuild
 
         return parallel_rebuild(
-            self._shards, processes=processes, start_method=start_method
+            self._local_shards("compact_parallel()"),
+            processes=processes,
+            start_method=start_method,
         )
 
     def validate(self) -> None:
         """Validate the structural invariants of every shard."""
-        for shard in self._shards:
+        for shard in self._trees():
             shard.validate()
 
     @property
@@ -375,30 +393,37 @@ class ShardedFlowtree:
 
         ``add``/``add_record``/``add_records``/``add_batch`` all advance
         this by exactly the count they return, so benchmarks and the daemon
-        can compare ingestion paths on one number.
+        can compare ingestion paths on one number.  Cumulative: a pool's
+        summarize-and-reset (the daemon's bin rollover) does not rewind it.
         """
         return self._records_ingested
 
     def stats_snapshot(self) -> Dict[str, int]:
         """Aggregated work counters over all shards (plain dict).
 
-        Alongside the summed per-shard :class:`~repro.core.flowtree.UpdateStats`
-        counters, the snapshot reports the structure-level numbers the
-        parallel executor also exposes (``shards``, ``nodes``,
-        ``records_ingested``) so the two ingestion modes are comparable
-        row-for-row in reports.
+        The per-shard :class:`~repro.core.flowtree.UpdateStats` counters and
+        node counts are summed, and the structure-level numbers (``shards``,
+        ``records_ingested``) ride along — the same keys wherever the shards
+        live, so reports compare row for row.  Worker-process shards add the
+        pool's own counters (``workers``, ``batches_submitted``,
+        ``worker_restarts``, ``journal_entries``, ...).
         """
-        totals: Dict[str, int] = {}
-        for shard in self._shards:
-            for name, value in shard.stats.snapshot().items():
+        if self._pool is None:
+            per_shard = [dict(shard.stats.snapshot(), nodes=len(shard)) for shard in self._shards]
+            totals: Dict[str, int] = {}
+        else:
+            per_shard = self._pool.shard_stats()
+            totals = self._pool.stats()
+        for snapshot in per_shard:
+            for name, value in snapshot.items():
                 totals[name] = totals.get(name, 0) + value
         totals["shards"] = self._num_shards
-        totals["nodes"] = self.node_count()
         totals["records_ingested"] = self._records_ingested
         return totals
 
     def __repr__(self) -> str:
+        where = f"nodes={self.node_count()}" if self._pool is None else repr(self._pool)
         return (
             f"ShardedFlowtree(schema={self._schema.name!r}, shards={self._num_shards}, "
-            f"nodes={self.node_count()})"
+            f"{where})"
         )

@@ -52,7 +52,7 @@ PINNED_FUNCTIONS: Dict[str, tuple] = {
     "BATCH_FORMAT_VERSION": (
         "encode_aggregated_batch",
         "decode_aggregated_batch",
-        # Sub-batch section layouts (format version 2): the per-entry varint
+        # Sub-batch section layouts: the per-entry varint
         # fallback, the fixed-width struct path, and the schema -> layout
         # derivation that both ends compute independently.
         "_encode_varint_entry",

@@ -7,9 +7,10 @@ datagrams), maintains one Flowtree per time bin, and when a bin closes
 exports its summary — full or diff-encoded — to the collector over the
 simulated transport.
 
-With ``workers > 0`` the per-bin summarizer is a process-parallel
-:class:`~repro.core.parallel.ParallelShardedFlowtree` and the export path
-is *pipelined*: closing a bin schedules its per-shard summaries
+With ``workers > 0`` the per-bin summarizer is a
+:class:`~repro.core.sharded.ShardedFlowtree` whose shards live in a
+:class:`~repro.core.parallel.ShardWorkerPool` and the export path is
+*pipelined*: closing a bin schedules its per-shard summaries
 asynchronously, ingestion of the next bin proceeds while the workers
 finish folding and serializing the previous one, and :meth:`flush` joins
 whatever is outstanding before emitting the
@@ -23,12 +24,13 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, Iterable, Iterator, List, Optional, Union
 
 from repro.core.config import FlowtreeConfig
 from repro.core.errors import DaemonError
 from repro.core.flowtree import DEFAULT_BATCH_SIZE, Flowtree
-from repro.core.parallel import ParallelShardedFlowtree, PendingSummaries
+from repro.core.parallel import PendingSummaries, ShardWorkerPool
 from repro.core.serialization import from_bytes
 from repro.core.sharded import ShardedFlowtree
 from repro.distributed.diffsync import DiffSyncEncoder
@@ -97,9 +99,9 @@ class FlowtreeDaemon:
         self._encoder = DiffSyncEncoder(prefer_diff=use_diffs, full_every=full_every)
         self._workers = workers
         self._faults = faults
-        self._pool: Optional[ParallelShardedFlowtree] = None
+        self._sharded: Optional[ShardedFlowtree] = None
         self._pending_export: Optional[_PendingBinExport] = None
-        self._current: Optional[Union[Flowtree, ParallelShardedFlowtree]] = None
+        self._current: Optional[Union[Flowtree, ShardedFlowtree]] = None
         self._current_bin: Optional[int] = None
         self._origin: Optional[float] = None
         self._records_in_bin = 0
@@ -131,11 +133,11 @@ class FlowtreeDaemon:
         return self._workers
 
     @property
-    def current_tree(self) -> Optional[Union[Flowtree, ParallelShardedFlowtree]]:
+    def current_tree(self) -> Optional[Union[Flowtree, ShardedFlowtree]]:
         """The (still open) summarizer of the current bin.
 
         A :class:`Flowtree` in single-process mode; the shared
-        :class:`ParallelShardedFlowtree` executor when ``workers > 0``.
+        worker-backed :class:`ShardedFlowtree` when ``workers > 0``.
         """
         return self._current
 
@@ -152,10 +154,10 @@ class FlowtreeDaemon:
         ...) so deployments report numbers comparable with the benchmark
         tables.  Joins any in-flight bin export first.
         """
-        if self._pool is None:
+        if self._sharded is None:
             return {}
         self._finalize_pending()
-        return self._pool.stats_snapshot()
+        return self._sharded.stats_snapshot()
 
     # -- ingestion ------------------------------------------------------------------
 
@@ -294,14 +296,14 @@ class FlowtreeDaemon:
             self.flush()
         finally:
             self._closed = True
-            if self._pool is not None:
-                self._pool.close()
-                self._pool = None
+            if self._sharded is not None:
+                self._sharded.close()
+                self._sharded = None
                 self._current = None
 
     def _schedule_export(self) -> None:
         """Close the current bin asynchronously: workers keep folding it."""
-        pending = self._pool.begin_summaries(reset=True)
+        pending = self._sharded.pool.begin_summaries(reset=True)
         self._pending_export = _PendingBinExport(
             bin_index=self._current_bin,
             record_count=self._records_in_bin,
@@ -354,16 +356,16 @@ class FlowtreeDaemon:
         if self._closed:
             raise DaemonError(f"daemon for site {self._site!r} is closed")
         if self._workers:
-            if self._pool is None:
-                self._pool = ParallelShardedFlowtree(
+            if self._sharded is None:
+                self._sharded = ShardedFlowtree(
                     self._schema,
                     self._config,
-                    num_workers=self._workers,
-                    faults=self._faults,
+                    num_shards=self._workers,
+                    pool=partial(ShardWorkerPool, faults=self._faults),
                 )
             # The pool is reset by the previous bin's summarize-and-reset
             # command, so the new bin starts empty without a join here.
-            self._current = self._pool
+            self._current = self._sharded
         else:
             self._current = Flowtree(self._schema, self._config)
         self._current_bin = bin_index

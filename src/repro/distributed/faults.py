@@ -24,7 +24,7 @@ seam name                 where it fires
 ``collector.kill``              :meth:`Collector.ingest` marks the collector dead
                                 and raises
                                 :class:`~repro.core.errors.CollectorUnavailableError`
-``parallel.worker-crash``       :class:`~repro.core.parallel.ParallelShardedFlowtree`
+``parallel.worker-crash``       :class:`~repro.core.parallel.ShardWorkerPool`
                                 SIGKILL-kills the shard's worker process before
                                 submitting the batch
 ========================  =========================================================

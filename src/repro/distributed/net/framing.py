@@ -11,9 +11,9 @@ up the protocol:
 
 * ``HELLO`` — sent once per connection by the client: protocol version,
   the sending site's endpoint name, the destination collector name, and
-  (since protocol version 2) the summary/sub-batch format versions the
-  site emits, so the server can reject a connection whose payloads it
-  could not decode *before* any summary bytes flow.
+  the summary format version the site emits, so the server can reject a
+  connection whose payloads it could not decode *before* any summary
+  bytes flow.
 * ``SUMMARY`` — one :class:`~repro.distributed.messages.SummaryMessage`
   with a per-connection frame number (1, 2, 3, ...).  The frame number
   lets the server enforce in-order, gap-free delivery per connection and
@@ -40,15 +40,15 @@ from dataclasses import dataclass
 from typing import List, Union
 
 from repro.core.errors import TransportError
-from repro.core.serialization import BATCH_FORMAT_VERSION, FORMAT_VERSION
+from repro.core.serialization import FORMAT_VERSION
 from repro.distributed.messages import SUMMARY_DIFF, SUMMARY_FULL, SummaryMessage
 
 #: Bumped on any incompatible change to the frame layout below.
-#: Version 2 extended the HELLO body with the payload format advertisement
-#: (summary format + sub-batch format version bytes).  Version 3 added the
-#: per-frame CRC-32 trailer to the envelope (``length | crc | body``); a
-#: v2 peer's frames fail the CRC check and are rejected before parsing.
-PROTOCOL_VERSION = 3
+#: Version 3 added the per-frame CRC-32 trailer to the envelope
+#: (``length | crc | body``).  Version 4 dropped the sub-batch format byte
+#: from HELLO: sub-batches never reach a collector, so the advertisement is
+#: the summary format alone.
+PROTOCOL_VERSION = 4
 
 FRAME_HELLO = 1
 FRAME_SUMMARY = 2
@@ -61,7 +61,7 @@ MAX_FRAME_BYTES = 64 * 1024 * 1024
 _LENGTH = struct.Struct("!I")
 _CRC = struct.Struct("!I")
 _HELLO_HEAD = struct.Struct("!BIH")
-_HELLO_FORMATS = struct.Struct("!BB")
+_HELLO_FORMAT = struct.Struct("!B")
 _SUMMARY_HEAD = struct.Struct("!BQ")
 _SUMMARY_META = struct.Struct("!qddBBQqI")
 _ACK = struct.Struct("!BQ")
@@ -80,17 +80,16 @@ SUMMARY_FRAME_ENVELOPE = _LENGTH.size + _CRC.size + struct.calcsize("!BQ")
 class HelloFrame:
     """Connection preamble: who is sending, to which collector endpoint.
 
-    ``summary_format`` and ``batch_format`` advertise the FTRE summary and
-    FTAB sub-batch format versions the client encodes with; the server
-    rejects the connection up front if either is newer than what this
-    build decodes (see :meth:`CollectorServer._handle`).
+    ``summary_format`` advertises the FTRE summary format version the
+    client encodes with; the server rejects the connection up front if it
+    is newer than what this build decodes (see
+    :meth:`CollectorServer._handle`).
     """
 
     site: str
     destination: str
     version: int
     summary_format: int = FORMAT_VERSION
-    batch_format: int = BATCH_FORMAT_VERSION
     wire_bytes: int = 0
 
 
@@ -130,16 +129,11 @@ def encode_frame(body: bytes) -> bytes:
     return _LENGTH.pack(len(body)) + _CRC.pack(zlib.crc32(body) & 0xFFFFFFFF) + body
 
 
-def encode_hello(
-    site: str,
-    destination: str,
-    summary_format: int = FORMAT_VERSION,
-    batch_format: int = BATCH_FORMAT_VERSION,
-) -> bytes:
-    """HELLO body: version + site + destination + payload format advertisement.
+def encode_hello(site: str, destination: str, summary_format: int = FORMAT_VERSION) -> bytes:
+    """HELLO body: version + site + destination + summary format advertisement.
 
-    ``summary_format``/``batch_format`` default to what this build encodes;
-    tests override them to exercise the server-side rejection path.
+    ``summary_format`` defaults to what this build encodes; tests override
+    it to exercise the server-side rejection path.
     """
     site_bytes = _encode_name(site)
     dest_bytes = _encode_name(destination)
@@ -148,7 +142,7 @@ def encode_hello(
         + site_bytes
         + struct.pack("!H", len(dest_bytes))
         + dest_bytes
-        + _HELLO_FORMATS.pack(summary_format, batch_format)
+        + _HELLO_FORMAT.pack(summary_format)
     )
 
 
@@ -198,9 +192,9 @@ def _decode_hello(body: bytes, wire_bytes: int) -> HelloFrame:
         _, version, site_len = _HELLO_HEAD.unpack_from(body, 0)
     except struct.error as exc:
         raise TransportError(f"malformed HELLO frame: {exc}") from exc
-    # Version first: a v1 HELLO ends right after the destination name, so
-    # parsing the format advertisement out of it would report a confusing
-    # truncation error instead of the actual version mismatch.
+    # Version first: HELLO bodies of other versions have a different tail,
+    # so parsing on would report a confusing truncation error instead of
+    # the actual version mismatch.
     if version != PROTOCOL_VERSION:
         raise TransportError(
             f"peer speaks protocol version {version}, this build speaks {PROTOCOL_VERSION}"
@@ -213,8 +207,8 @@ def _decode_hello(body: bytes, wire_bytes: int) -> HelloFrame:
         offset += 2
         destination = body[offset : offset + dest_len].decode("utf-8")
         offset += dest_len
-        summary_format, batch_format = _HELLO_FORMATS.unpack_from(body, offset)
-        offset += _HELLO_FORMATS.size
+        (summary_format,) = _HELLO_FORMAT.unpack_from(body, offset)
+        offset += _HELLO_FORMAT.size
     except (struct.error, UnicodeDecodeError) as exc:
         raise TransportError(f"malformed HELLO frame: {exc}") from exc
     if offset != len(body):
@@ -224,7 +218,6 @@ def _decode_hello(body: bytes, wire_bytes: int) -> HelloFrame:
         destination=destination,
         version=version,
         summary_format=summary_format,
-        batch_format=batch_format,
         wire_bytes=wire_bytes,
     )
 

@@ -37,7 +37,7 @@ from collections import deque
 from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from repro.core.errors import SerializationError, TransportError
-from repro.core.serialization import BATCH_FORMAT_VERSION, FORMAT_VERSION, summary_header
+from repro.core.serialization import FORMAT_VERSION, summary_header
 from repro.distributed.net.framing import (
     FrameDecoder,
     HelloFrame,
@@ -254,12 +254,6 @@ class CollectorServer(TransferAccounting):
                                 f"site {frame.site!r} emits summary format "
                                 f"{frame.summary_format}, this collector decodes "
                                 f"up to {FORMAT_VERSION}"
-                            )
-                        if frame.batch_format > BATCH_FORMAT_VERSION:
-                            raise self._protocol_error(
-                                f"site {frame.site!r} emits sub-batch format "
-                                f"{frame.batch_format}, this collector decodes "
-                                f"up to {BATCH_FORMAT_VERSION}"
                             )
                         hello = frame
                     elif isinstance(frame, SummaryFrame):

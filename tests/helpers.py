@@ -10,8 +10,13 @@ explicitly from this module; ``conftest.py`` keeps only fixtures.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from unittest import mock
 
+import pytest
+
+from repro.core import compaction
 from repro.core.key import FlowKey
+from repro.core.parallel import ShardWorkerPool
 from repro.features.ipaddr import ipv4_to_int
 from repro.features.schema import SCHEMA_2F_SRC_DST, SCHEMA_4F
 
@@ -81,3 +86,23 @@ __all__ = [
     "key4",
     "key2",
 ]
+
+
+def force_rebuild():
+    """Patch the one strategy threshold so any compaction excess rebuilds.
+
+    Usable as a context manager or a decorator.  Worker processes forked
+    while the patch is active inherit it.
+    """
+    return mock.patch.object(compaction, "REBUILD_OVERSHOOT", 0)
+
+
+def force_incremental():
+    """Patch the one strategy threshold so the bulk rebuild never runs."""
+    return mock.patch.object(compaction, "REBUILD_OVERSHOOT", float("inf"))
+
+
+#: Runs a sharded test once per shard placement (``ShardedFlowtree(pool=...)``).
+PLACEMENTS = pytest.mark.parametrize(
+    "pool", [None, ShardWorkerPool], ids=["in-process", "worker-processes"]
+)

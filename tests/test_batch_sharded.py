@@ -7,15 +7,21 @@ The contract of the fast paths is behavioural, not just statistical:
   disabled — regardless of batch size — and must stay byte-identical when
   both paths cross a compaction boundary at the same point in the stream;
 * ``ShardedFlowtree`` shards merged through the paper's merge operator
-  must reproduce the single unsharded tree.
+  must reproduce the single unsharded tree — wherever the shards live
+  (``PLACEMENTS`` runs each sharded test in-process and over worker
+  processes; the cross-placement byte identity and the crash-recovery
+  drills are in ``test_parallel_sharded.py``).
 """
+
+import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import SimpleRecord, make_record
+from helpers import PLACEMENTS, SimpleRecord, make_record
 
-from repro.core import Flowtree, FlowtreeConfig, ShardedFlowtree, shard_index, to_bytes
+from repro.core import Counters, Flowtree, FlowtreeConfig, ShardedFlowtree, shard_index, to_bytes
+from repro.core.errors import ConfigurationError
 from repro.core.key import FlowKey
 from repro.features.schema import SCHEMA_1F_SRC, SCHEMA_2F_SRC_DST, SCHEMA_4F
 
@@ -141,59 +147,94 @@ class TestAddBatchEquivalence:
         assert SCHEMA_1F_SRC.signature_of(a) == a.src_ip
 
 
+def _items_map(summary):
+    """``items()`` as a per-key counter map (shard roots share one key)."""
+    totals = {}
+    for key, counters in summary.items():
+        totals.setdefault(key, Counters()).add(counters)
+    return totals
+
+
+@PLACEMENTS
 class TestShardedFlowtree:
     @settings(max_examples=20, deadline=None)
     @given(records=records_strategy, num_shards=st.sampled_from([1, 2, 4, 7]))
-    def test_merge_equivalence_against_unsharded(self, records, num_shards):
+    def test_merge_equivalence_against_unsharded(self, pool, records, num_shards):
         """Property: merging the shards reproduces the single tree exactly."""
-        single = Flowtree(SCHEMA_4F, FlowtreeConfig(max_nodes=None))
+        config = FlowtreeConfig(max_nodes=None)
+        single = Flowtree(SCHEMA_4F, config)
         for record in records:
             single.add_record(record)
-        sharded = ShardedFlowtree(
-            SCHEMA_4F, FlowtreeConfig(max_nodes=None), num_shards=num_shards
-        )
-        consumed = sharded.add_batch(records, batch_size=32)
-        assert consumed == len(records)
-        sharded.validate()
-        assert to_bytes(sharded.merged_tree()) == to_bytes(single)
-        assert sharded.total_counters() == single.total_counters()
+        with ShardedFlowtree(SCHEMA_4F, config, num_shards=num_shards, pool=pool) as sharded:
+            consumed = sharded.add_batch(records, batch_size=32)
+            assert consumed == len(records)
+            sharded.validate()
+            assert to_bytes(sharded.merged_tree()) == to_bytes(single)
+            assert sharded.total_counters() == single.total_counters()
+            assert _items_map(sharded) == _items_map(single)
+            probe = FlowKey.from_record(SCHEMA_4F, records[0])
+            generalized = probe.generalize_feature(0).generalize_feature(3)
+            for key in (FlowKey.root(SCHEMA_4F), probe, generalized):
+                assert sharded.estimate(key).counters == single.estimate(key).counters
 
-    def test_bounded_shards_split_the_budget(self, packet_stream_small):
+    def test_bounded_shards_split_the_budget(self, pool, packet_stream_small):
         config = FlowtreeConfig(max_nodes=256)
-        sharded = ShardedFlowtree(SCHEMA_4F, config, num_shards=4)
-        sharded.add_batch(packet_stream_small)
-        for shard in sharded.shards:
-            assert shard.config.max_nodes == 64
-            assert len(shard) <= 64 + max(shard.config.victim_batch, 4)
-        merged = sharded.merged_tree()
-        assert len(merged) <= config.max_nodes
-        assert merged.total_counters() == sharded.total_counters()
+        with ShardedFlowtree(SCHEMA_4F, config, num_shards=4, pool=pool) as sharded:
+            sharded.add_batch(packet_stream_small)
+            for shard in sharded.shards:
+                assert shard.config.max_nodes == 64
+                assert len(shard) <= 64 + max(shard.config.victim_batch, 4)
+            merged = sharded.merged_tree()
+            assert len(merged) <= config.max_nodes
+            assert merged.total_counters() == sharded.total_counters()
 
-    def test_shard_placement_is_deterministic_and_total(self, packet_stream_small):
-        keys = {FlowKey.from_record(SCHEMA_4F, p) for p in packet_stream_small[:500]}
-        for key in keys:
-            index = shard_index(key, 4)
-            assert 0 <= index < 4
-            assert index == shard_index(key, 4)
-        # A real stream must not collapse into one shard.
-        assert len({shard_index(key, 4) for key in keys}) == 4
-
-    def test_estimate_sums_over_shards(self, packet_stream_small):
-        single = Flowtree(SCHEMA_4F, FlowtreeConfig(max_nodes=None))
+    def test_estimate_sums_over_shards(self, pool, packet_stream_small):
+        config = FlowtreeConfig(max_nodes=None)
+        single = Flowtree(SCHEMA_4F, config)
         single.add_records(packet_stream_small)
-        sharded = ShardedFlowtree(SCHEMA_4F, FlowtreeConfig(max_nodes=None), num_shards=4)
-        sharded.add_batch(packet_stream_small)
-        root = FlowKey.from_wire(SCHEMA_4F, ("*", "*", "*", "*"))
-        assert sharded.estimate(root).counters == single.estimate(root).counters
-        specific = FlowKey.from_record(SCHEMA_4F, packet_stream_small[0])
-        assert sharded.estimate(specific).counters == single.estimate(specific).counters
+        keys = [
+            FlowKey.from_wire(SCHEMA_4F, ("*", "*", "*", "*")),
+            FlowKey.from_record(SCHEMA_4F, packet_stream_small[0]),
+        ]
+        with ShardedFlowtree(SCHEMA_4F, config, num_shards=4, pool=pool) as sharded:
+            sharded.add_batch(packet_stream_small)
+            for key in keys:
+                assert sharded.estimate(key).counters == single.estimate(key).counters
+            assert sharded.estimate_many(keys) == {key: sharded.estimate(key) for key in keys}
 
-    def test_add_record_and_add_match_batch(self, packet_stream_small):
-        by_batch = ShardedFlowtree(SCHEMA_4F, FlowtreeConfig(max_nodes=None), num_shards=3)
-        by_batch.add_batch(packet_stream_small)
-        by_record = ShardedFlowtree(SCHEMA_4F, FlowtreeConfig(max_nodes=None), num_shards=3)
-        assert by_record.add_records(packet_stream_small) == len(packet_stream_small)
-        assert to_bytes(by_record.merged_tree()) == to_bytes(by_batch.merged_tree())
+    def test_every_ingest_path_agrees_on_placement_and_count(self, pool, packet_stream_small):
+        records = packet_stream_small[:600]
+        config = FlowtreeConfig(max_nodes=None)
+        by_batch = ShardedFlowtree(SCHEMA_4F, config, num_shards=3)
+        by_batch.add_batch(records)
+        with ShardedFlowtree(SCHEMA_4F, config, num_shards=3, pool=pool) as mixed:
+            assert mixed.add_records(records[:200]) == 200
+            assert mixed.add_batch(records[200:400]) == 200
+            for record in records[400:]:
+                mixed.add_record(record)
+            assert mixed.records_ingested == len(records)
+            assert mixed.stats_snapshot()["records_ingested"] == len(records)
+            assert to_bytes(mixed.merged_tree()) == to_bytes(by_batch.merged_tree())
+
+    def test_compaction_needs_in_process_shards(self, pool):
+        with ShardedFlowtree(SCHEMA_4F, FlowtreeConfig(max_nodes=64), pool=pool) as sharded:
+            if pool is None:
+                assert sharded.compact() == 0
+            else:
+                with pytest.raises(ConfigurationError):
+                    sharded.compact()
+                with pytest.raises(ConfigurationError):
+                    sharded.compact_parallel()
+
+
+def test_shard_placement_is_deterministic_and_total(packet_stream_small):
+    keys = {FlowKey.from_record(SCHEMA_4F, p) for p in packet_stream_small[:500]}
+    for key in keys:
+        index = shard_index(key, 4)
+        assert 0 <= index < 4
+        assert index == shard_index(key, 4)
+    # A real stream must not collapse into one shard.
+    assert len({shard_index(key, 4) for key in keys}) == 4
 
 
 class TestDaemonBatchedReplay:

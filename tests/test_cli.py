@@ -74,21 +74,9 @@ class TestCommands:
                      str(trace_csv), str(tmp_path / "x.ft")]) == 1
         assert "conflicts" in capsys.readouterr().err
 
-    def test_build_compaction_modes(self, trace_csv, tmp_path):
-        """--compaction forces a strategy; every mode conserves the totals."""
-        trees = {}
-        for mode in ("auto", "incremental", "rebuild"):
-            path = tmp_path / f"{mode}.ft"
-            assert main(["build", "--max-nodes", "64", "--compaction", mode,
-                         str(trace_csv), str(path)]) == 0
-            trees[mode] = from_bytes(path.read_bytes())
-        for mode, tree in trees.items():
-            assert tree.total_counters().packets == 8_000, mode
-            assert tree.node_count() <= 64, mode
-
-    def test_build_rejects_unknown_compaction(self, trace_csv, tmp_path):
+    def test_build_has_no_compaction_flag(self, trace_csv, tmp_path):
         with pytest.raises(SystemExit):
-            main(["build", "--compaction", "bulk",
+            main(["build", "--compaction", "rebuild",
                   str(trace_csv), str(tmp_path / "x.ft")])
 
     def test_info(self, summary_file, capsys):

@@ -1,28 +1,26 @@
-"""Rebuild-vs-incremental compaction: equivalence bounds and mode dispatch.
+"""Rebuild-vs-incremental compaction: equivalence bounds and the dispatch.
 
-The bulk rebuild compactor (``compaction="rebuild"``) must be a drop-in
-replacement for the incremental victim rounds wherever summaries are
-*used*: same node budget, exactly the same totals, and estimator answers
-within the paper's error bound on every trace family.  ``"auto"`` must
-dispatch between the two strategies purely on the batch-overshoot policy,
-staying incremental in the paper-like regime so the existing byte-identical
-equivalence guarantees keep holding there.
+The bulk rebuild compactor must be a drop-in replacement for the
+incremental victim rounds wherever summaries are *used*: same node budget,
+exactly the same totals, and estimator answers within the paper's error
+bound on every trace family.  Which of the two runs is not configurable —
+the tree chooses from the overshoot it observes — so the strategy-level
+tests force one side by patching the single threshold constant
+(``helpers.force_rebuild`` / ``force_incremental``), and the regime tests
+pin the choice itself through the public API only.
 """
+
+import dataclasses
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import SimpleRecord, make_record
+from helpers import PLACEMENTS, SimpleRecord, force_incremental, force_rebuild, make_record
 
-from repro.core import (
-    Flowtree,
-    FlowtreeConfig,
-    ParallelShardedFlowtree,
-    ShardedFlowtree,
-    to_bytes,
-)
-from repro.core.errors import ConfigurationError
+from repro.core import Flowtree, FlowtreeConfig, ShardedFlowtree, to_bytes
+from repro.core.compaction import rebuild_pays_off
+from repro.core.key import FlowKey
 from repro.features.ipaddr import IPv4Prefix
 from repro.features.ports import PortRange
 from repro.features.protocol import Protocol
@@ -95,7 +93,7 @@ def _heavy_query_keys(exact, min_share=0.01):
     return heavy
 
 
-class TestRebuildEquivalence:
+class TestStrategyEquivalence:
     @pytest.mark.parametrize("trace", sorted(_TRACES))
     def test_budget_totals_and_estimates_match_incremental(self, trace):
         packets = list(_TRACES[trace]())
@@ -106,11 +104,12 @@ class TestRebuildEquivalence:
         exact = Flowtree(SCHEMA_4F, FlowtreeConfig(max_nodes=None))
         exact.add_batch(packets)
         trees = {}
-        for mode in ("incremental", "rebuild"):
-            tree = Flowtree(SCHEMA_4F, FlowtreeConfig(max_nodes=budget, compaction=mode))
-            tree.add_batch(packets)
+        for strategy, forced in (("incremental", force_incremental), ("rebuild", force_rebuild)):
+            tree = Flowtree(SCHEMA_4F, FlowtreeConfig(max_nodes=budget))
+            with forced():
+                tree.add_batch(packets)
             tree.validate()
-            trees[mode] = tree
+            trees[strategy] = tree
 
         # Identical node budgets: both strategies end inside the same cap...
         assert len(trees["incremental"]) <= budget
@@ -125,11 +124,11 @@ class TestRebuildEquivalence:
         assert heavy, "trace produced no heavy aggregates to query"
         for key in heavy:
             truth = exact.estimate(key).value("packets")
-            for mode, tree in trees.items():
+            for strategy, tree in trees.items():
                 estimate = tree.estimate(key).value("packets")
                 error = abs(estimate - truth) / truth
                 assert error <= ERROR_BOUND, (
-                    f"{trace}/{mode}: {key.pretty()} estimated {estimate} "
+                    f"{trace}/{strategy}: {key.pretty()} estimated {estimate} "
                     f"vs {truth} (error {error:.2f})"
                 )
             spread = abs(
@@ -144,14 +143,13 @@ class TestRebuildEquivalence:
     @given(records=records_strategy)
     def test_forced_rebuild_is_valid_and_conserving(self, records):
         """Property: any stream, tight budget — rebuild keeps the contract."""
-        loop_tree = Flowtree(SCHEMA_4F, FlowtreeConfig(max_nodes=64, victim_batch=8))
+        config = FlowtreeConfig(max_nodes=64, victim_batch=8)
+        loop_tree = Flowtree(SCHEMA_4F, config)
         for record in records:
             loop_tree.add_record(record)
-        rebuild_tree = Flowtree(
-            SCHEMA_4F,
-            FlowtreeConfig(max_nodes=64, victim_batch=8, compaction="rebuild"),
-        )
-        rebuild_tree.add_batch(records, batch_size=0)
+        rebuild_tree = Flowtree(SCHEMA_4F, config)
+        with force_rebuild():
+            rebuild_tree.add_batch(records, batch_size=0)
         rebuild_tree.validate()
         assert len(rebuild_tree) <= 64
         assert rebuild_tree.total_counters() == loop_tree.total_counters()
@@ -166,7 +164,7 @@ class TestRebuildEquivalence:
         packets = list(CaidaLikeTraceGenerator(seed=9, flow_population=20_000).packets(8_000))
         reference = Flowtree(schema, FlowtreeConfig(max_nodes=None))
         reference.add_batch(packets)
-        tree = Flowtree(schema, FlowtreeConfig(max_nodes=64, compaction="rebuild"))
+        tree = Flowtree(schema, FlowtreeConfig(max_nodes=64))
         tree.add_batch(packets)
         tree.validate()
         assert tree.stats.rebuilds > 0
@@ -183,14 +181,16 @@ class TestRebuildEquivalence:
                         sport=1000 + i, packets=5 if i < 450 else 1)
             for i in range(500)
         ]
-        config = FlowtreeConfig(max_nodes=64, compaction="rebuild", protected_min_count=5)
+        config = FlowtreeConfig(max_nodes=64, protected_min_count=5)
         tree = Flowtree(SCHEMA_4F, config)
         tree.add_batch(records, batch_size=0)
         tree.validate()
+        assert tree.stats.rebuilds > 0
         assert len(tree) <= 64
-        incremental = Flowtree(SCHEMA_4F, config.with_compaction("incremental"))
+        incremental = Flowtree(SCHEMA_4F, config)
         for record in records:
             incremental.add_record(record)
+        assert incremental.stats.rebuilds == 0
         assert tree.total_counters() == incremental.total_counters()
         assert len(incremental) <= 64
 
@@ -236,7 +236,7 @@ class TestRebuildEquivalence:
         packets = list(CaidaLikeTraceGenerator(seed=9, flow_population=20_000).packets(6_000))
         reference = Flowtree(schema, FlowtreeConfig(max_nodes=None))
         reference.add_batch(packets)
-        tree = Flowtree(schema, FlowtreeConfig(max_nodes=64, compaction="rebuild"))
+        tree = Flowtree(schema, FlowtreeConfig(max_nodes=64))
         tree.add_batch(packets)
         tree.validate()
         assert tree.stats.rebuilds > 0
@@ -250,10 +250,10 @@ class TestRebuildEquivalence:
         from repro.features.protocol import Protocol
 
         packets = list(CaidaLikeTraceGenerator(seed=9, flow_population=20_000).packets(8_000))
-        reference = Flowtree(schema_5f, FlowtreeConfig(max_nodes=64, compaction="rebuild"))
+        reference = Flowtree(schema_5f, FlowtreeConfig(max_nodes=64))
         reference.add_batch(packets)
         monkeypatch.setattr(Protocol, "raw_signature_tokens", False)
-        tree = Flowtree(schema_5f, FlowtreeConfig(max_nodes=64, compaction="rebuild"))
+        tree = Flowtree(schema_5f, FlowtreeConfig(max_nodes=64))
         assert not tree._raw_token_schema
         tree.add_batch(packets)
         tree.validate()
@@ -263,7 +263,7 @@ class TestRebuildEquivalence:
 
     def test_rebuild_is_deterministic(self):
         packets = list(CaidaLikeTraceGenerator(seed=5, flow_population=20_000).packets(12_000))
-        config = FlowtreeConfig(max_nodes=256, compaction="rebuild")
+        config = FlowtreeConfig(max_nodes=256)
         first = Flowtree(SCHEMA_4F, config)
         first.add_batch(packets)
         second = Flowtree(SCHEMA_4F, config)
@@ -271,70 +271,23 @@ class TestRebuildEquivalence:
         assert to_bytes(first) == to_bytes(second)
 
     def test_unbounded_mode_is_untouched_by_strategy(self):
-        """With compaction disabled the mode must not change a single byte."""
+        """With compaction disabled the strategy must not change a single byte."""
         records = [make_record(src=f"10.3.{i % 40}.{i % 7}", sport=3000 + i) for i in range(300)]
         reference = Flowtree(SCHEMA_4F, FlowtreeConfig(max_nodes=None))
         for record in records:
             reference.add_record(record)
-        for mode in ("incremental", "rebuild", "auto"):
-            tree = Flowtree(SCHEMA_4F, FlowtreeConfig(max_nodes=None, compaction=mode))
-            tree.add_batch(records)
-            assert to_bytes(tree) == to_bytes(reference), mode
+        for forced in (force_incremental, force_rebuild):
+            tree = Flowtree(SCHEMA_4F, FlowtreeConfig(max_nodes=None))
+            with forced():
+                tree.add_batch(records)
+            assert to_bytes(tree) == to_bytes(reference)
 
-
-class TestAutoDispatch:
-    def _distinct_records(self, count):
-        return [
-            make_record(src=f"10.{i // 250}.{(i // 50) % 5}.{i % 50}", sport=1000 + i % 997)
-            for i in range(count)
-        ]
-
-    def test_auto_stays_incremental_on_small_overshoot(self):
-        tree = Flowtree(SCHEMA_4F, FlowtreeConfig(max_nodes=64, compaction="auto"))
-        tree.add_batch(self._distinct_records(70), batch_size=0)
-        assert tree.stats.rebuilds == 0
-        assert tree.stats.compactions >= 1
-        assert len(tree) <= 64
-
-    def test_auto_rebuilds_on_large_overshoot(self):
-        tree = Flowtree(SCHEMA_4F, FlowtreeConfig(max_nodes=64, compaction="auto"))
-        tree.add_batch(self._distinct_records(600), batch_size=0)
-        assert tree.stats.rebuilds >= 1
-        assert len(tree) <= 64
-
-    def test_auto_ignores_resident_working_set(self):
-        """Re-covering keys the tree already holds is not an overshoot: a
-        steady-state working set that fits the budget must never trigger a
-        rebuild (or any compaction), no matter how many batches re-cover it."""
-        records = self._distinct_records(55)     # + root = 56 nodes, fits 64
-        tree = Flowtree(SCHEMA_4F, FlowtreeConfig(max_nodes=64, compaction="auto"))
-        for _ in range(5):
-            tree.add_batch(records, batch_size=0)
-        assert tree.stats.rebuilds == 0
-        assert tree.stats.compactions == 0
-        assert len(tree) == 56
-
-    def test_add_aggregated_streams_generator_inputs(self):
-        """Generator items must not be buffered for dispatch; they stream
-        through the incremental pass and the budget still ends enforced
-        (via compact() at the batch boundary, rebuild mode included)."""
-        from repro.core.key import FlowKey
-
-        tree = Flowtree(SCHEMA_4F, FlowtreeConfig(max_nodes=64, compaction="rebuild"))
-        tree.add_aggregated(
-            (FlowKey.from_record(SCHEMA_4F, record), 1, 0, 1)
-            for record in self._distinct_records(300)
-        )
-        tree.validate()
-        assert len(tree) <= 64
-        assert tree.total_counters().packets == 300
-        assert tree.stats.rebuilds >= 1      # forced mode applied at the boundary
-
-    def test_forced_rebuild_applies_to_eager_compact_below_max(self):
-        """compact() between target and max_nodes must still honour a
-        forced rebuild mode (dispatch is on the compaction target)."""
-        records = self._distinct_records(60)     # 61 nodes: over target 51, under max 64
-        tree = Flowtree(SCHEMA_4F, FlowtreeConfig(max_nodes=64, compaction="rebuild"))
+    @force_rebuild()
+    def test_rebuild_applies_to_eager_compact_below_max(self):
+        """compact() between target and max_nodes measures its excess
+        against the compaction target, not against max_nodes."""
+        records = _distinct_records(60)          # 61 nodes: over target 51, under max 64
+        tree = Flowtree(SCHEMA_4F, FlowtreeConfig(max_nodes=64))
         tree.add_batch(records, batch_size=0)
         assert tree.stats.rebuilds == 0          # never exceeded max_nodes
         removed = tree.compact()
@@ -342,77 +295,110 @@ class TestAutoDispatch:
         assert tree.stats.rebuilds == 1
         assert len(tree) <= 51
 
-    def test_auto_threshold_is_configurable(self):
-        config = FlowtreeConfig(max_nodes=64, compaction="auto", rebuild_threshold=100.0)
-        tree = Flowtree(SCHEMA_4F, config)
-        tree.add_batch(self._distinct_records(600), batch_size=0)
-        assert tree.stats.rebuilds == 0          # overshoot never crosses 100x budget
-        assert len(tree) <= 64
-
-    def test_incremental_mode_never_rebuilds(self):
-        tree = Flowtree(SCHEMA_4F, FlowtreeConfig(max_nodes=64, compaction="incremental"))
-        tree.add_batch(self._distinct_records(600), batch_size=0)
-        assert tree.stats.rebuilds == 0
-        assert len(tree) <= 64
-
-    def test_rebuild_mode_covers_the_per_record_path(self):
-        """compact() itself dispatches, so plain add() streams rebuild too."""
-        tree = Flowtree(SCHEMA_4F, FlowtreeConfig(max_nodes=64, compaction="rebuild"))
-        for record in self._distinct_records(200):
+    @force_rebuild()
+    def test_rebuild_covers_the_per_record_path(self):
+        """compact() itself chooses, so plain add() streams can rebuild too."""
+        tree = Flowtree(SCHEMA_4F, FlowtreeConfig(max_nodes=64))
+        for record in _distinct_records(200):
             tree.add_record(record)
         tree.validate()
         assert tree.stats.rebuilds >= 1
         assert tree.stats.updates == 200
         assert len(tree) <= 64
 
-    def test_rebuild_selected_policy(self):
-        auto = FlowtreeConfig(max_nodes=100, compaction="auto", rebuild_threshold=0.5)
-        assert not auto.rebuild_selected(0)
-        assert not auto.rebuild_selected(50)     # exactly at threshold: incremental
-        assert auto.rebuild_selected(51)
-        assert not FlowtreeConfig(max_nodes=None).rebuild_selected(10_000)
-        assert FlowtreeConfig(max_nodes=100, compaction="rebuild").rebuild_selected(1)
-        assert not FlowtreeConfig(
-            max_nodes=100, compaction="incremental"
-        ).rebuild_selected(10_000)
+    @force_incremental()
+    def test_incremental_alone_holds_the_budget(self):
+        tree = Flowtree(SCHEMA_4F, FlowtreeConfig(max_nodes=64))
+        tree.add_batch(_distinct_records(600), batch_size=0)
+        assert tree.stats.rebuilds == 0
+        assert len(tree) <= 64
 
-    def test_invalid_mode_and_threshold_raise(self):
-        with pytest.raises(ConfigurationError):
-            FlowtreeConfig(compaction="bulk")
-        with pytest.raises(ConfigurationError):
-            FlowtreeConfig(rebuild_threshold=0)
+    @force_rebuild()
+    @PLACEMENTS
+    def test_sharded_rebuild_is_merge_consistent_wherever_shards_live(
+        self, pool, packet_stream_small
+    ):
+        config = FlowtreeConfig(max_nodes=128)
+        reference = ShardedFlowtree(SCHEMA_4F, config, num_shards=2)
+        reference.add_batch(packet_stream_small, batch_size=512)
+        assert reference.stats_snapshot()["rebuilds"] >= 1
+        with ShardedFlowtree(SCHEMA_4F, config, num_shards=2, pool=pool) as sharded:
+            sharded.add_batch(packet_stream_small, batch_size=512)
+            sharded.validate()
+            merged = sharded.merged_tree()
+            assert merged.total_counters() == sharded.total_counters()
+            assert len(merged) <= config.max_nodes
+            assert to_bytes(merged) == to_bytes(reference.merged_tree())
 
 
-class TestShardedAndParallelFlowThrough:
-    """The mode must flow through sharding and the process executor
-    without observable divergence between the two execution paths."""
+def _distinct_records(count):
+    return [
+        make_record(src=f"10.{i // 250}.{(i // 50) % 5}.{i % 50}", sport=1000 + i % 997)
+        for i in range(count)
+    ]
 
-    def test_sharded_inherits_mode_and_stays_merge_consistent(self, packet_stream_small):
-        config = FlowtreeConfig(max_nodes=256, compaction="rebuild")
-        sharded = ShardedFlowtree(SCHEMA_4F, config, num_shards=2)
-        sharded.add_batch(packet_stream_small, batch_size=512)
-        sharded.validate()
-        snapshot = sharded.stats_snapshot()
-        assert snapshot["rebuilds"] >= 1
-        merged = sharded.merged_tree()
-        assert merged.total_counters() == sharded.total_counters()
-        assert len(merged) <= config.max_nodes
 
-    def test_parallel_byte_identical_to_in_process_under_rebuild(self, packet_stream_small):
-        config = FlowtreeConfig(max_nodes=128, compaction="rebuild")
-        sharded = ShardedFlowtree(SCHEMA_4F, config, num_shards=2)
-        sharded.add_batch(packet_stream_small, batch_size=512)
-        with ParallelShardedFlowtree(SCHEMA_4F, config, num_workers=2) as parallel:
-            parallel.add_batch(packet_stream_small, batch_size=512)
-            assert to_bytes(parallel.merged_tree()) == to_bytes(sharded.merged_tree())
+class TestDispatchRegimes:
+    """The strategy choice, observed through the public API only."""
 
-    def test_parallel_byte_identical_under_auto(self, packet_stream_small):
-        config = FlowtreeConfig(max_nodes=128, compaction="auto")
-        sharded = ShardedFlowtree(SCHEMA_4F, config, num_shards=2)
-        sharded.add_batch(packet_stream_small, batch_size=512)
-        with ParallelShardedFlowtree(SCHEMA_4F, config, num_workers=2) as parallel:
-            parallel.add_batch(packet_stream_small, batch_size=512)
-            assert to_bytes(parallel.merged_tree()) == to_bytes(sharded.merged_tree())
+    def test_churn_far_over_budget_rebuilds(self):
+        """Distinct keys >= 10x the budget: the rebuild side of the dispatch."""
+        tree = Flowtree(SCHEMA_4F, FlowtreeConfig(max_nodes=64))
+        tree.add_batch(_distinct_records(640), batch_size=0)
+        assert tree.stats.rebuilds > 0
+        assert len(tree) <= 64
+
+    def test_resident_working_set_never_compacts(self):
+        """Re-covering keys the tree already holds is not an overshoot: a
+        steady-state working set that fits the budget must never trigger a
+        rebuild (or any compaction), no matter how many batches re-cover it."""
+        records = _distinct_records(55)          # + root = 56 nodes, fits 64
+        tree = Flowtree(SCHEMA_4F, FlowtreeConfig(max_nodes=64))
+        for _ in range(5):
+            tree.add_batch(records, batch_size=0)
+        assert tree.stats.rebuilds == 0
+        assert tree.stats.compactions == 0
+        assert len(tree) == 56
+
+    def test_small_overshoot_stays_incremental(self):
+        tree = Flowtree(SCHEMA_4F, FlowtreeConfig(max_nodes=64))
+        tree.add_batch(_distinct_records(70), batch_size=0)
+        assert tree.stats.rebuilds == 0
+        assert tree.stats.compactions >= 1
+        assert len(tree) <= 64
+
+    def test_generator_and_list_items_build_the_same_tree(self):
+        """``add_aggregated`` must not fork on the container type: the same
+        items as a list and as a generator take the same strategy."""
+        items = [
+            (FlowKey.from_record(SCHEMA_4F, record), 1, 0, 1)
+            for record in _distinct_records(300)
+        ]
+        from_list = Flowtree(SCHEMA_4F, FlowtreeConfig(max_nodes=64))
+        from_list.add_aggregated(items)
+        from_generator = Flowtree(SCHEMA_4F, FlowtreeConfig(max_nodes=64))
+        from_generator.add_aggregated(item for item in items)
+        assert from_list.stats.rebuilds >= 1
+        assert from_generator.stats.snapshot() == from_list.stats.snapshot()
+        assert to_bytes(from_generator) == to_bytes(from_list)
+        assert from_generator.total_counters().packets == 300
+
+    def test_threshold_predicate(self):
+        assert not rebuild_pays_off(100, 0, 100, 100)
+        assert not rebuild_pays_off(150, 0, 100, 100)    # exactly at threshold: incremental
+        assert rebuild_pays_off(151, 0, 100, 100)
+        assert rebuild_pays_off(1, 151, 100, 100)
+        # The union is bounded below by max(), not the sum: a batch that
+        # re-covers the kept nodes is no overshoot.
+        assert not rebuild_pays_off(100, 100, 100, 100)
+        assert not rebuild_pays_off(10_000, 10_000, 100, None)
+
+    def test_the_strategy_is_not_configurable(self):
+        with pytest.raises(TypeError):
+            FlowtreeConfig(compaction="rebuild")
+        with pytest.raises(TypeError):
+            FlowtreeConfig(rebuild_threshold=0.5)
+        assert len(dataclasses.fields(FlowtreeConfig)) == 8
 
 
 class TestTokenContract:

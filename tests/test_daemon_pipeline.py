@@ -50,7 +50,7 @@ def _run_daemon(records, workers, batch_size=64, use_diffs=True, full_every=3,
             daemon.consume_records(records, batch_size=batch_size)
         else:
             daemon.consume_records(records[:crash_at], batch_size=batch_size)
-            daemon._pool.inject_worker_failure(crash_worker)
+            daemon.current_tree.pool.inject_worker_failure(crash_worker)
             daemon.consume_records(records[crash_at:], batch_size=batch_size)
         flushed = daemon.flush()
         stats = daemon.stats

@@ -8,10 +8,12 @@ zero-overhead requirement that a plan with nothing armed changes nothing.
 The end-to-end combinations live in ``tests/test_chaos.py``.
 """
 
+from functools import partial
+
 import pytest
 
 from helpers import make_record, make_timed_record
-from repro.core import ParallelShardedFlowtree, ShardedFlowtree, to_bytes
+from repro.core import ShardedFlowtree, ShardWorkerPool, to_bytes
 from repro.core.config import FlowtreeConfig
 from repro.core.errors import (
     CollectorUnavailableError,
@@ -290,8 +292,9 @@ class TestWorkerCrashSeam:
         reference.add_batch(records, batch_size=64)
 
         plan = FaultPlan(seed=0).arm(FAULT_WORKER_CRASH, after=2, max_fires=1)
-        with ParallelShardedFlowtree(
-            SCHEMA_4F, FlowtreeConfig(max_nodes=None), num_workers=2, faults=plan
+        with ShardedFlowtree(
+            SCHEMA_4F, FlowtreeConfig(max_nodes=None), num_shards=2,
+            pool=partial(ShardWorkerPool, faults=plan),
         ) as parallel:
             parallel.add_batch(records, batch_size=64)
             assert plan.fires(FAULT_WORKER_CRASH) == 1

@@ -8,6 +8,7 @@ import pytest
 from helpers import make_timed_record
 from repro.core.errors import DaemonError, TransportError
 from repro.core.key import FlowKey
+from repro.core.serialization import FORMAT_VERSION
 from repro.distributed import (
     Collector,
     Deployment,
@@ -263,11 +264,15 @@ class TestServerClient:
             assert server.stats()["protocol_errors"] == 1
             assert server.pending("collector") == 0
 
-    def test_hello_for_unknown_endpoint_drops_connection(self):
+    @pytest.mark.parametrize("hello", [
+        encode_hello("edge", "ghost"),                                      # unknown endpoint
+        encode_hello("edge", "collector", summary_format=FORMAT_VERSION + 1),  # undecodable
+    ])
+    def test_unacceptable_hello_drops_connection(self, hello):
         with CollectorServer().start() as server:
             Collector(SCHEMA_2F_SRC_DST, server)
             with socket.create_connection((server.host, server.port), timeout=5.0) as sock:
-                sock.sendall(encode_frame(encode_hello("edge", "ghost")))
+                sock.sendall(encode_frame(hello))
                 sock.settimeout(5.0)
                 assert sock.recv(4096) == b""
             assert server.stats()["protocol_errors"] == 1

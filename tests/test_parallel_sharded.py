@@ -1,21 +1,17 @@
-"""Process-parallel sharded ingestion: equivalence and fault tolerance.
+"""Shards in worker processes: byte identity with in-process shards, and
+fault tolerance.
 
-The executor's contract is the strongest one the codebase makes:
+``ShardedFlowtree(pool=ShardWorkerPool)`` makes the strongest contract the
+codebase has:
 
-* ``ParallelShardedFlowtree`` must be **byte-identical** to the in-process
-  ``ShardedFlowtree`` for any stream, any worker count and any node budget
-  — including across compaction boundaries — because both run the same
-  partition step and the workers fold the same ``add_aggregated`` calls in
-  the same order;
-* with compaction disabled both must reproduce the single unsharded tree
-  exactly (``items()``, ``total_counters()``, ``estimate()`` and serialized
-  bytes);
+* it must be **byte-identical** to the same structure with in-process
+  shards for any stream, any shard count and any node budget — including
+  across compaction boundaries — because both run the same partition step
+  and the workers fold the same ``add_aggregated`` calls in the same order
+  (that both reproduce the single unsharded tree when unbounded is pinned
+  per placement in ``test_batch_sharded.py``);
 * a worker crash mid-stream must be invisible: the checkpoint + journal
   replay makes every sub-batch fold exactly once.
-
-Worker pools are reused across hypothesis examples (reset via a
-summarize-and-reset round) so the property tests do not pay a process
-spawn per example.
 """
 
 import pytest
@@ -25,14 +21,12 @@ from hypothesis import strategies as st
 from helpers import SimpleRecord, make_record
 
 from repro.core import (
-    Flowtree,
     FlowtreeConfig,
-    ParallelShardedFlowtree,
     ShardedFlowtree,
+    ShardWorkerPool,
     WorkerError,
     decode_aggregated_batch,
     encode_aggregated_batch,
-    from_bytes,
     to_bytes,
 )
 from repro.core.errors import SerializationError
@@ -69,35 +63,18 @@ UNBOUNDED = FlowtreeConfig(max_nodes=None)
 BOUNDED = FlowtreeConfig(max_nodes=64, victim_batch=8)
 
 
-def _items_map(summary):
-    """``items()`` as a per-key counter map (shard roots share one key)."""
-    from repro.core import Counters
-
-    totals = {}
-    for key, counters in summary.items():
-        totals.setdefault(key, Counters()).add(counters)
-    return totals
-
-_POOLS = {}
+def _in_process(records, config=UNBOUNDED, num_shards=2, batch_size=0):
+    reference = ShardedFlowtree(SCHEMA_4F, config, num_shards=num_shards)
+    reference.add_batch(records, batch_size=batch_size)
+    return reference
 
 
-def _pool(num_workers: int, config: FlowtreeConfig) -> ParallelShardedFlowtree:
-    """A reusable worker pool, reset to empty shard trees."""
-    key = (num_workers, config.max_nodes)
-    pool = _POOLS.get(key)
-    if pool is None:
-        pool = ParallelShardedFlowtree(SCHEMA_4F, config, num_workers=num_workers)
-        _POOLS[key] = pool
-    else:
-        pool.shard_summaries(reset=True)
-    return pool
+def _in_workers(config=UNBOUNDED, num_shards=2):
+    return ShardedFlowtree(SCHEMA_4F, config, num_shards=num_shards, pool=ShardWorkerPool)
 
 
-@pytest.fixture(scope="module", autouse=True)
-def _close_pools():
-    yield
-    while _POOLS:
-        _POOLS.popitem()[1].close()
+def _shard_bytes(sharded):
+    return [to_bytes(shard, compress=False) for shard in sharded.shards]
 
 
 class TestAggregatedBatchWireFormat:
@@ -130,93 +107,72 @@ class TestAggregatedBatchWireFormat:
             encode_aggregated_batch([], record_count=-1)
 
 
-class TestParallelEquivalence:
-    @settings(max_examples=20, deadline=None)
-    @given(records=records_strategy, num_workers=st.sampled_from([1, 2, 4]))
-    def test_unbounded_matches_sharded_and_single_tree(self, records, num_workers):
-        """Property: parallel == in-process sharded == single tree, exactly."""
-        single = Flowtree(SCHEMA_4F, UNBOUNDED)
-        for record in records:
-            single.add_record(record)
-        sharded = ShardedFlowtree(SCHEMA_4F, UNBOUNDED, num_shards=num_workers)
-        sharded.add_batch(records, batch_size=32)
-
-        parallel = _pool(num_workers, UNBOUNDED)
-        consumed = parallel.add_batch(records, batch_size=32)
-        assert consumed == len(records)
-
-        assert _items_map(parallel) == _items_map(sharded)
-        assert parallel.total_counters() == sharded.total_counters() == single.total_counters()
-        assert to_bytes(parallel.merged_tree()) == to_bytes(sharded.merged_tree())
-        assert to_bytes(parallel.merged_tree()) == to_bytes(single)
-        parallel.validate()
-
-        root = FlowKey.root(SCHEMA_4F)
-        probe = FlowKey.from_record(SCHEMA_4F, records[0])
-        generalized = probe.generalize_feature(0).generalize_feature(3)
-        for key in (root, probe, generalized):
-            assert parallel.estimate(key).counters == sharded.estimate(key).counters
-            assert parallel.estimate(key).counters == single.estimate(key).counters
-
+class TestPlacementEquivalence:
     @settings(max_examples=15, deadline=None)
     @given(
         records=records_strategy,
-        num_workers=st.sampled_from([1, 2, 4]),
+        num_shards=st.sampled_from([1, 2, 4]),
         batch_size=st.sampled_from([0, 7, 50]),
     )
-    def test_bounded_byte_identical_across_compaction(self, records, num_workers, batch_size):
-        """Property: with a tight budget (compaction firing), the parallel
-        path still serializes shard-for-shard to the in-process bytes."""
-        sharded = ShardedFlowtree(SCHEMA_4F, BOUNDED, num_shards=num_workers)
-        sharded.add_batch(records, batch_size=batch_size)
-
-        parallel = _pool(num_workers, BOUNDED)
-        parallel.add_batch(records, batch_size=batch_size)
-
-        shard_payloads = parallel.shard_summaries()
-        expected = [to_bytes(shard, compress=False) for shard in sharded.shards]
-        assert shard_payloads == expected
-        assert to_bytes(parallel.merged_tree()) == to_bytes(sharded.merged_tree())
-
-    @settings(max_examples=10, deadline=None)
-    @given(records=records_strategy)
-    def test_add_records_matches_in_process_per_record_path(self, records):
-        sharded = ShardedFlowtree(SCHEMA_4F, UNBOUNDED, num_shards=2)
-        assert sharded.add_records(records) == len(records)
-        parallel = _pool(2, UNBOUNDED)
-        assert parallel.add_records(records) == len(records)
-        assert to_bytes(parallel.merged_tree()) == to_bytes(sharded.merged_tree())
+    def test_bounded_byte_identical_across_compaction(self, records, num_shards, batch_size):
+        """Property: with a tight budget (compaction firing), worker shards
+        still serialize shard-for-shard to the in-process bytes."""
+        reference = _in_process(records, BOUNDED, num_shards, batch_size)
+        with _in_workers(BOUNDED, num_shards) as sharded:
+            sharded.add_batch(records, batch_size=batch_size)
+            assert sharded.pool.shard_summaries() == _shard_bytes(reference)
+            assert to_bytes(sharded.merged_tree()) == to_bytes(reference.merged_tree())
 
     def test_generation_reset_isolates_batches(self, packet_stream_small):
         """summarize-and-reset (the daemon's bin rollover) splits the stream
         into independent generations, each equal to a fresh in-process run."""
         half = len(packet_stream_small) // 2
-        parallel = _pool(2, UNBOUNDED)
-        parallel.add_batch(packet_stream_small[:half], batch_size=0)
-        pending = parallel.begin_summaries(reset=True)
-        parallel.add_batch(packet_stream_small[half:], batch_size=0)
+        with _in_workers() as sharded:
+            sharded.add_batch(packet_stream_small[:half], batch_size=0)
+            pending = sharded.pool.begin_summaries(reset=True)
+            sharded.add_batch(packet_stream_small[half:], batch_size=0)
+            assert pending.collect() == _shard_bytes(_in_process(packet_stream_small[:half]))
+            second = _in_process(packet_stream_small[half:])
+            assert to_bytes(sharded.merged_tree()) == to_bytes(second.merged_tree())
 
-        first = ShardedFlowtree(SCHEMA_4F, UNBOUNDED, num_shards=2)
-        first.add_batch(packet_stream_small[:half], batch_size=0)
-        assert pending.collect() == [to_bytes(s, compress=False) for s in first.shards]
+    def test_reset_invalidates_cached_queries(self):
+        records = [make_record(sport=3000 + i) for i in range(20)]
+        with _in_workers() as sharded:
+            sharded.add_batch(records, batch_size=0)
+            assert sharded.total_counters().packets == 20   # populates the replicas
+            sharded.pool.shard_summaries(reset=True)
+            assert sharded.total_counters().packets == 0
+            assert sharded.node_count() == 2   # just the shard roots
 
-        second = ShardedFlowtree(SCHEMA_4F, UNBOUNDED, num_shards=2)
-        second.add_batch(packet_stream_small[half:], batch_size=0)
-        assert to_bytes(parallel.merged_tree()) == to_bytes(second.merged_tree())
+    def test_snapshot_keys_match_in_process_shards(self, packet_stream_small):
+        reference = _in_process(packet_stream_small, batch_size=512)
+        with _in_workers() as sharded:
+            sharded.add_batch(packet_stream_small, batch_size=512)
+            in_process = reference.stats_snapshot()
+            in_workers = sharded.stats_snapshot()
+        # The shared vocabulary benchmarks and the daemon compare on.
+        assert set(in_process) <= set(in_workers)
+        for key in ("updates", "inserts", "shards", "nodes", "records_ingested"):
+            assert in_workers[key] == in_process[key], key
+        # Pool-only queue/process stats ride along.
+        assert in_workers["workers"] == 2
+        assert in_workers["batches_submitted"] >= 2
+        assert in_workers["submitted_payload_bytes"] > 0
+        assert in_workers["worker_restarts"] == 0
+        assert sharded.records_ingested == reference.records_ingested
 
 
 class TestWorkerFaultTolerance:
     def test_crash_mid_stream_neither_drops_nor_double_counts(self, packet_stream_small):
-        reference = ShardedFlowtree(SCHEMA_4F, UNBOUNDED, num_shards=2)
-        reference.add_batch(packet_stream_small, batch_size=256)
-        with ParallelShardedFlowtree(SCHEMA_4F, UNBOUNDED, num_workers=2) as parallel:
+        reference = _in_process(packet_stream_small, batch_size=256)
+        with _in_workers() as sharded:
             third = len(packet_stream_small) // 3
-            parallel.add_batch(packet_stream_small[:third], batch_size=256)
-            parallel.inject_worker_failure(0)
-            parallel.add_batch(packet_stream_small[third:], batch_size=256)
-            assert parallel.total_counters() == reference.total_counters()
-            assert to_bytes(parallel.merged_tree()) == to_bytes(reference.merged_tree())
-            snapshot = parallel.stats_snapshot()
+            sharded.add_batch(packet_stream_small[:third], batch_size=256)
+            sharded.pool.inject_worker_failure(0)
+            sharded.add_batch(packet_stream_small[third:], batch_size=256)
+            assert sharded.total_counters() == reference.total_counters()
+            assert to_bytes(sharded.merged_tree()) == to_bytes(reference.merged_tree())
+            snapshot = sharded.stats_snapshot()
             assert snapshot["worker_restarts"] == 1
             assert snapshot["records_ingested"] == len(packet_stream_small)
 
@@ -224,50 +180,47 @@ class TestWorkerFaultTolerance:
         """A collected summary becomes the checkpoint; the journal replayed
         after a later crash holds only the batches sent since."""
         half = len(packet_stream_small) // 2
-        reference = ShardedFlowtree(SCHEMA_4F, UNBOUNDED, num_shards=2)
-        reference.add_batch(packet_stream_small, batch_size=128)
-        with ParallelShardedFlowtree(SCHEMA_4F, UNBOUNDED, num_workers=2) as parallel:
-            parallel.add_batch(packet_stream_small[:half], batch_size=128)
-            parallel.shard_summaries()   # checkpoint both workers
-            parallel.add_batch(packet_stream_small[half:], batch_size=128)
-            parallel.inject_worker_failure(1)
-            assert parallel.total_counters() == reference.total_counters()
-            assert to_bytes(parallel.merged_tree()) == to_bytes(reference.merged_tree())
+        reference = _in_process(packet_stream_small, batch_size=128)
+        with _in_workers() as sharded:
+            sharded.add_batch(packet_stream_small[:half], batch_size=128)
+            sharded.pool.shard_summaries()   # checkpoint both workers
+            sharded.add_batch(packet_stream_small[half:], batch_size=128)
+            sharded.pool.inject_worker_failure(1)
+            assert sharded.total_counters() == reference.total_counters()
+            assert to_bytes(sharded.merged_tree()) == to_bytes(reference.merged_tree())
 
     def test_crash_with_summary_in_flight_recovers_the_bin(self, packet_stream_small):
         """The daemon's worst case: a worker dies between a bin's
         summarize-and-reset and its collection, with next-bin batches
         already queued behind it.  Both generations must survive."""
         half = len(packet_stream_small) // 2
-        with ParallelShardedFlowtree(SCHEMA_4F, UNBOUNDED, num_workers=2) as parallel:
-            parallel.add_batch(packet_stream_small[:half], batch_size=0)
-            pending = parallel.begin_summaries(reset=True)
-            parallel.inject_worker_failure(0)
-            parallel.add_batch(packet_stream_small[half:], batch_size=0)
-            first = ShardedFlowtree(SCHEMA_4F, UNBOUNDED, num_shards=2)
-            first.add_batch(packet_stream_small[:half], batch_size=0)
-            assert pending.collect() == [to_bytes(s, compress=False) for s in first.shards]
-            second = ShardedFlowtree(SCHEMA_4F, UNBOUNDED, num_shards=2)
-            second.add_batch(packet_stream_small[half:], batch_size=0)
-            assert to_bytes(parallel.merged_tree()) == to_bytes(second.merged_tree())
-            assert parallel.stats_snapshot()["worker_restarts"] >= 1
+        with _in_workers() as sharded:
+            sharded.add_batch(packet_stream_small[:half], batch_size=0)
+            pending = sharded.pool.begin_summaries(reset=True)
+            sharded.pool.inject_worker_failure(0)
+            sharded.add_batch(packet_stream_small[half:], batch_size=0)
+            assert pending.collect() == _shard_bytes(_in_process(packet_stream_small[:half]))
+            second = _in_process(packet_stream_small[half:])
+            assert to_bytes(sharded.merged_tree()) == to_bytes(second.merged_tree())
+            assert sharded.stats_snapshot()["worker_restarts"] >= 1
 
-    def test_closed_executor_refuses_work(self):
-        parallel = ParallelShardedFlowtree(SCHEMA_4F, UNBOUNDED, num_workers=1)
-        parallel.close()
-        parallel.close()   # idempotent
+    def test_closed_pool_refuses_work(self):
+        sharded = _in_workers(num_shards=1)
+        sharded.close()
+        sharded.close()   # idempotent
         with pytest.raises(WorkerError):
-            parallel.add_batch([make_record()])
+            sharded.add_batch([make_record()])
+        with pytest.raises(WorkerError):
+            sharded.total_counters()
 
     def test_journal_is_bounded_by_periodic_checkpoints(self):
         """Long streams must not grow the replay buffer without bound: the
-        executor checkpoints once any journal reaches 256 sub-batches."""
+        pool checkpoints once any journal reaches 256 sub-batches."""
         records = [make_record(sport=1000 + i) for i in range(300)]
-        with ParallelShardedFlowtree(SCHEMA_4F, UNBOUNDED, num_workers=1) as parallel:
-            parallel.add_records(records)   # one sub-batch per record
-            snapshot = parallel.stats_snapshot()
-            assert snapshot["journal_entries"] < 256
-            assert parallel.total_counters().packets == len(records)
+        with _in_workers(num_shards=1) as sharded:
+            sharded.add_records(records)   # one sub-batch per record
+            assert sharded.stats_snapshot()["journal_entries"] < 256
+            assert sharded.total_counters().packets == len(records)
 
     def test_unregistered_schema_rejected_up_front(self):
         from repro.core import ConfigurationError
@@ -275,51 +228,9 @@ class TestWorkerFaultTolerance:
 
         custom = FlowSchema("4f", ["src_ip", "dst_ip", "src_port", "protocol"])
         with pytest.raises(ConfigurationError):
-            ParallelShardedFlowtree(custom, UNBOUNDED, num_workers=1)
+            ShardedFlowtree(custom, UNBOUNDED, num_shards=1, pool=ShardWorkerPool)
         with pytest.raises(ConfigurationError):
-            ParallelShardedFlowtree(
-                FlowSchema("no-such-schema", ["src_ip"]), UNBOUNDED, num_workers=1
+            ShardedFlowtree(
+                FlowSchema("no-such-schema", ["src_ip"]), UNBOUNDED,
+                num_shards=1, pool=ShardWorkerPool,
             )
-
-
-class TestViewFreshness:
-    def test_reset_invalidates_cached_queries(self):
-        records = [make_record(sport=3000 + i) for i in range(20)]
-        parallel = _pool(2, UNBOUNDED)
-        parallel.add_batch(records, batch_size=0)
-        assert parallel.total_counters().packets == 20   # populates the view
-        parallel.shard_summaries(reset=True)
-        assert parallel.total_counters().packets == 0
-        assert parallel.node_count() == 2   # just the shard roots
-
-
-class TestComparableStats:
-    def test_snapshot_keys_match_in_process_sharded(self, packet_stream_small):
-        sharded = ShardedFlowtree(SCHEMA_4F, UNBOUNDED, num_shards=2)
-        sharded.add_batch(packet_stream_small, batch_size=512)
-        with ParallelShardedFlowtree(SCHEMA_4F, UNBOUNDED, num_workers=2) as parallel:
-            parallel.add_batch(packet_stream_small, batch_size=512)
-            in_process = sharded.stats_snapshot()
-            executor = parallel.stats_snapshot()
-        # The shared vocabulary benchmarks and the daemon compare on.
-        for key in ("updates", "inserts", "shards", "nodes", "records_ingested"):
-            assert executor[key] == in_process[key], key
-        # Executor-only queue/process stats ride along.
-        assert executor["workers"] == 2
-        assert executor["batches_submitted"] >= 2
-        assert executor["submitted_payload_bytes"] > 0
-        assert executor["worker_restarts"] == 0
-        assert sharded.records_ingested == parallel.records_ingested
-
-    def test_ingested_count_consistent_across_paths(self):
-        records = [make_record(sport=2000 + i) for i in range(30)]
-        sharded = ShardedFlowtree(SCHEMA_4F, UNBOUNDED, num_shards=3)
-        total = 0
-        total += sharded.add_records(records[:10])
-        total += sharded.add_batch(records[10:25])
-        for record in records[25:]:
-            sharded.add_record(record)
-            total += 1
-        assert total == len(records)
-        assert sharded.records_ingested == len(records)
-        assert sharded.stats_snapshot()["records_ingested"] == len(records)

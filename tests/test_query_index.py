@@ -8,10 +8,11 @@ purpose: a warm cache that survives a mutation it should not survive shows
 up as a hard mismatch here.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import SimpleRecord, key4
+from helpers import SimpleRecord, force_incremental, force_rebuild, key4
 
 from repro.core import (
     Flowtree,
@@ -62,9 +63,7 @@ records_strategy = st.lists(
 config_strategy = st.sampled_from(
     [
         FlowtreeConfig(max_nodes=None),
-        FlowtreeConfig(max_nodes=64, victim_batch=8, compaction="incremental"),
-        FlowtreeConfig(max_nodes=64, victim_batch=8, compaction="rebuild"),
-        FlowtreeConfig(max_nodes=64, victim_batch=8, compaction="auto"),
+        FlowtreeConfig(max_nodes=64, victim_batch=8),
     ]
 )
 
@@ -137,27 +136,16 @@ class TestIndexMaintenance:
             _assert_same_estimate(tree, FlowKey.from_record(SCHEMA_4F, record))
         _assert_indexed_matches_reference(tree, records)
 
+    @pytest.mark.parametrize("forced", [force_incremental, force_rebuild])
     @settings(max_examples=15, deadline=None)
     @given(records=records_strategy)
-    def test_incremental_compaction_invalidates(self, records):
-        tree = Flowtree(
-            SCHEMA_4F, FlowtreeConfig(max_nodes=4096, compaction="incremental")
-        )
+    def test_compaction_invalidates(self, forced, records):
+        """Either compaction strategy, run on a tree with warm caches."""
+        tree = Flowtree(SCHEMA_4F, FlowtreeConfig(max_nodes=4096))
         tree.add_batch(records, batch_size=0)
         _assert_indexed_matches_reference(tree, records)
-        tree.compact(target_nodes=max(16, len(tree) // 2))
-        tree.validate()
-        _assert_indexed_matches_reference(tree, records)
-
-    @settings(max_examples=15, deadline=None)
-    @given(records=records_strategy)
-    def test_rebuild_compaction_invalidates(self, records):
-        tree = Flowtree(
-            SCHEMA_4F, FlowtreeConfig(max_nodes=4096, compaction="rebuild")
-        )
-        tree.add_batch(records, batch_size=0)
-        _assert_indexed_matches_reference(tree, records)
-        tree.compact(target_nodes=max(16, len(tree) // 2))
+        with forced():
+            tree.compact(target_nodes=max(16, len(tree) // 2))
         tree.validate()
         _assert_indexed_matches_reference(tree, records)
 

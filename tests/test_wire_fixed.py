@@ -1,4 +1,4 @@
-"""Fixed-width FTAB sub-batch format (version 2) and its negotiation.
+"""Fixed-width FTAB sub-batch format and its versioning.
 
 Covers the satellite contract of the fixed-width fast path:
 
@@ -7,12 +7,9 @@ Covers the satellite contract of the fixed-width fast path:
   the original entry order;
 * equivalence — decoding the fixed-width payload yields byte-identical
   trees to decoding the forced-varint payload of the same batch;
-* old-reader rejection / new-reader acceptance — a strict version-1
-  reader refuses version-2 payloads by the version byte alone, while this
-  reader still accepts hand-built version-1 payloads;
-* HELLO negotiation — a site advertising a newer sub-batch format than
-  the collector decodes is rejected at HELLO time, before any summary
-  bytes flow.
+* versioning — the reader accepts exactly the version this build writes;
+  any other version byte (older layouts included) is a typed
+  ``SerializationError``, never a misparse.
 """
 
 from __future__ import annotations
@@ -65,7 +62,7 @@ def wildcard_items(n: int = 10):
 
 
 def section_modes(payload: bytes):
-    """Parse just the section framing of a v2 payload: [(mode, count), ...]."""
+    """Parse just the section framing of a payload: [(mode, count), ...]."""
     assert payload[: len(BATCH_MAGIC)] == BATCH_MAGIC
     assert payload[len(BATCH_MAGIC)] == BATCH_FORMAT_VERSION
     offset = len(BATCH_MAGIC) + 1
@@ -171,16 +168,17 @@ class TestEquivalence:
 
 
 class TestVersioning:
-    def test_new_payloads_carry_version_2(self):
-        # A version-1-only reader checks this byte with strict equality, so
-        # the bump alone guarantees old readers reject the new layout
-        # instead of misparsing it.
+    def test_new_payloads_carry_the_current_version(self):
+        # Readers check this byte with strict equality, so a bump alone
+        # guarantees other builds reject the layout instead of misparsing it.
         payload = encode_aggregated_batch(specific_items(4), record_count=4)
-        assert payload[len(BATCH_MAGIC)] == 2
+        assert payload[len(BATCH_MAGIC)] == BATCH_FORMAT_VERSION == 3
 
-    def test_version_1_payload_still_accepted(self):
+    def test_version_1_payload_rejected_with_typed_error(self):
         # Hand-build a v1 payload: one implicit varint section, no section
-        # framing — the layout PRs 1-7 shipped.
+        # framing — the layout PRs 1-7 shipped.  Nothing writes it any more
+        # and the reader must refuse it by the version byte, not trip over
+        # its body with an IndexError/struct.error.
         from repro.core.serialization import _encode_varint_entry
 
         items = wildcard_items(5)
@@ -190,14 +188,14 @@ class TestVersioning:
         for entry in items:
             _encode_varint_entry(entry, body)
         payload = BATCH_MAGIC + bytes([1]) + bytes(body)
-        decoded, record_count = decode_aggregated_batch(payload, SCHEMA_4F)
-        assert record_count == 7
-        assert decoded == items
+        with pytest.raises(SerializationError, match="version 1"):
+            decode_aggregated_batch(payload, SCHEMA_4F)
 
-    def test_future_version_rejected(self):
+    @pytest.mark.parametrize("version", [0, 2, 4, 255])
+    def test_other_versions_rejected(self, version):
         payload = bytearray(encode_aggregated_batch(specific_items(4), record_count=4))
-        payload[len(BATCH_MAGIC)] = 3
-        with pytest.raises(SerializationError, match="version 3"):
+        payload[len(BATCH_MAGIC)] = version
+        with pytest.raises(SerializationError, match=f"version {version}"):
             decode_aggregated_batch(bytes(payload), SCHEMA_4F)
 
     def test_truncated_fixed_section_rejected(self):
