@@ -9,6 +9,16 @@ the paper's Fig. 2 (``1.1.1.0/24``-style aggregates with their own
 complementary popularity) come into existence.  Victims that meet nothing
 anywhere fold into their current tree parent, so every round is guaranteed
 to shrink the tree.
+
+Both compactors here work in one *token space* (see :func:`fold_levels`):
+an entry is a ``(specificity vector, token signature)`` pair and a chain
+step is one cached :meth:`~repro.core.policy.ChainBuilder.fold_step` plus
+one :meth:`~repro.features.base.Feature.mask_raw`.  They share one registry
+with the query side — :class:`~repro.core.query.QueryIndex`'s ``vec ->
+signature -> node`` map — which the incremental rounds probe for "is this
+aggregate kept?" and the rebuild hands over ready-made.  A
+:class:`~repro.core.key.FlowKey` is built once per aggregate that is
+created (incremental) or survives (rebuild), never per chain step.
 """
 
 from __future__ import annotations
@@ -21,6 +31,7 @@ from repro.core.config import FlowtreeConfig
 from repro.core.key import FlowKey
 from repro.core.node import Counters, FlowtreeNode
 from repro.core.policy import ChainBuilder, get_policy
+from repro.core.query import signature_at
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.core.flowtree import Flowtree
@@ -84,69 +95,81 @@ class Compactor:
             return 0
 
         before = len(tree)
-        # Victim chains are materialized lazily, one level at a time:
-        # chains[i][level] is the victim's ancestor key after ``level + 1``
-        # generalization steps, but levels past the one where the round
-        # terminates are never constructed.  Most victims meet an aggregate
-        # within a few steps, so this skips the bulk of the FlowKey
-        # construction cost the eager walk used to pay.
-        chain_iters = [tree.chain_builder.chain(victim.key) for victim in victims]
-        chains: List[List[FlowKey]] = [[] for _ in victims]
+        nodes = tree._nodes
+        # Kept aggregates are looked up as ``kept[vec][sig]`` in the query
+        # index's registry (built here if cold, then kept coherent by the
+        # node_added/node_removed hooks behind every structural change below).
+        kept = tree._query_index.registry()
+        fold_step = tree.chain_builder.fold_step
+        maskers = tuple(spec.feature_type.mask_raw for spec in tree.schema.fields)
+        # Victims climb their canonical chains in lock-step, in token space:
+        # positions[i] is the ``(vec, sig)`` of victim i's current chain
+        # ancestor, ``None`` once it has stepped onto the root.  A FlowKey is
+        # built only for a fold target that has to be created.
+        positions: List[Optional[Tuple[tuple, tuple]]] = [
+            (victim.key.specificity_vector,
+             signature_at(victim.key, victim.key.specificity_vector))
+            for victim in victims
+        ]
         remaining = set(range(len(victims)))
 
-        level = 0
-        while True:
-            if len(tree) <= before - excess:
-                break
-            if not remaining:
-                break
-            groups: Dict[FlowKey, List[int]] = defaultdict(list)
+        while len(tree) > before - excess and remaining:
+            groups: Dict[Tuple[tuple, tuple], List[int]] = {}
             progressed = False
             for index in sorted(remaining):
-                chain = chains[index]
-                while len(chain) <= level:
-                    step = next(chain_iters[index], None)
-                    if step is None:
-                        break
-                    chain.append(step)
-                if level >= len(chain):
+                position = positions[index]
+                if position is None:
                     continue
-                ancestor_key = chain[level]
                 progressed = True
-                if ancestor_key.is_root:
+                vec, sig = position
+                feature, target, parent_vec = fold_step(vec)
+                if not any(parent_vec):
+                    positions[index] = None
                     continue
-                groups[ancestor_key].append(index)
+                position = (
+                    parent_vec,
+                    sig[:feature]
+                    + (maskers[feature](sig[feature], target),)
+                    + sig[feature + 1:],
+                )
+                positions[index] = position
+                groups.setdefault(position, []).append(index)
             if not progressed:
                 break
-            level += 1
-            eligible = [
-                (ancestor_key, members)
-                for ancestor_key, members in groups.items()
-                if len(members) >= 2 or ancestor_key in tree
-            ]
+            eligible = []
+            missing = []
+            for position, members in groups.items():
+                vec, sig = position
+                if sig in kept.get(vec, ()):
+                    eligible.append((position, members))
+                elif len(members) >= 2:
+                    eligible.append((position, members))
+                    missing.append((vec, sig, victims[members[0]].key))
             # Materialize every new fold target of this level in one sweep
             # (per-key insertion re-scans the parent's children each time,
             # which is quadratic when a level creates hundreds of targets).
-            tree._bulk_create_aggregates(
-                key for key, _ in eligible if key not in tree
-            )
-            for ancestor_key, members in eligible:
-                if len(members) < 2 and ancestor_key not in tree:
-                    # The aggregate this singleton would have joined was
-                    # itself folded earlier in the level; recreating it
-                    # empty would not shrink the tree, so the victim keeps
-                    # climbing instead (same policy as the per-key path).
-                    continue
-                target = tree._get_or_create_node(ancestor_key)
+            tree._bulk_create_aggregates(missing)
+            for (vec, sig), members in eligible:
+                bucket = kept.get(vec)
+                target_node = bucket.get(sig) if bucket else None
+                if target_node is None:
+                    if len(members) < 2:
+                        # The aggregate this singleton would have joined was
+                        # itself a victim, folded earlier in the level;
+                        # recreating it empty would not shrink the tree, so
+                        # the victim keeps climbing instead.
+                        continue
+                    target_node = tree._get_or_create_node(
+                        victims[members[0]].key.generalize_to_vector(vec)
+                    )
                 for index in members:
                     victim = victims[index]
-                    if victim is target or victim.key not in tree._nodes:
-                        remaining.discard(index)
-                        continue
-                    target.counters.add(victim.counters)
-                    target.invalidate_subtree_cache()
-                    tree._remove_node(victim)
                     remaining.discard(index)
+                    if victim is target_node or victim.key not in nodes:
+                        continue
+                    target_node.counters.add(victim.counters)
+                    target_node.invalidate_subtree_cache()
+                    tree._remove_node(victim)
 
         # Whatever is left met nothing below the root: fold into the tree parent
         # (usually the root), which is the coarsest possible summary.
@@ -154,7 +177,7 @@ class Compactor:
         if shortfall > 0:
             for index in sorted(remaining):
                 victim = victims[index]
-                if victim.key not in tree._nodes:
+                if victim.key not in nodes:
                     continue
                 parent = victim.parent if victim.parent is not None else tree.root
                 parent.counters.add(victim.counters)
@@ -415,8 +438,7 @@ def fold_levels(
             total -= 1
             step = parent_cache.get(vec)
             if step is None:
-                index, target = fold_step(vec)
-                parent_vec = vec[:index] + (target,) + vec[index + 1:]
+                index, target, parent_vec = fold_step(vec)
                 step = (index, target, parent_vec, sum(parent_vec))
                 parent_cache[vec] = step
             index, target, parent_vec, parent_depth = step
@@ -562,14 +584,3 @@ def parallel_rebuild(
             tree.stats.folded_nodes += folded
         folded_total += folded
     return folded_total
-
-
-def fold_into(target: FlowtreeNode, victims: Sequence[FlowtreeNode]) -> None:
-    """Add the counters of every victim into ``target`` (no structure changes).
-
-    Exposed for tests and for callers that implement custom folding
-    strategies on top of the core primitives.
-    """
-    for victim in victims:
-        target.counters.add(victim.counters)
-    target.invalidate_subtree_cache()

@@ -26,7 +26,7 @@ from repro.core.errors import QueryError, SchemaMismatchError
 from repro.core.key import FlowKey
 from repro.core.node import Counters, FlowtreeNode
 from repro.core.policy import ChainBuilder, GeneralizationPolicy, get_policy
-from repro.core.query import QueryIndex, signature_at
+from repro.core.query import QueryIndex, covers, signature_at
 from repro.features.schema import FlowSchema
 
 
@@ -276,8 +276,9 @@ class Flowtree(RecordIngest):
             (len(self._trajectory_order) - 1, self._root_spec)
         ]
         # Query-side index (per-level token registry + lazy projections).
-        # Cold until the first query touches it; every maintenance hook
-        # below is an O(1) no-op before that, so ingestion pays nothing.
+        # Cold until the first query or the first incremental compaction
+        # touches it; every maintenance hook below is an O(1) no-op before
+        # that, so ingestion into a tree under budget pays nothing.
         self._query_index = QueryIndex(self)
 
     # -- basic properties -----------------------------------------------------
@@ -496,13 +497,20 @@ class Flowtree(RecordIngest):
             return self._root
         nodes = self._nodes
         root_spec = self._root_spec
+        # Once the query index is warm its registry answers the same probe
+        # from a token signature, without building the projected key.
+        query_index = self._query_index
+        kept = query_index.registry() if query_index.warm else None
         for level_index, vec in self._populated_levels:
             if level_index <= index:
                 continue
             self._stats.chain_steps += 1
             if vec == root_spec:
                 break
-            node = nodes.get(key.generalize_to_vector(vec))
+            if kept is not None:
+                node = kept[vec].get(signature_at(key, vec))
+            else:
+                node = nodes.get(key.generalize_to_vector(vec))
             if node is not None:
                 return node
         return self._root
@@ -692,60 +700,60 @@ class Flowtree(RecordIngest):
             node = self._insert_under(key, ancestor)
         return node
 
-    def _bulk_create_aggregates(self, keys: Iterable[FlowKey]) -> Dict[FlowKey, FlowtreeNode]:
-        """Create nodes for several generalized keys in one containment sweep.
+    def _bulk_create_aggregates(
+        self, targets: Iterable[Tuple[Tuple[int, ...], tuple, FlowKey]]
+    ) -> None:
+        """Create several missing aggregates in one containment sweep.
+
+        Each target is ``(vec, sig, descendant key)``: the aggregate's
+        specificity vector and token signature (how the compactor knows it)
+        plus any key beneath it, from which the aggregate's own key is
+        projected — the only key built per target.
 
         :meth:`_insert_under` re-scans the ancestor's entire child list per
         inserted key; when compaction materializes hundreds of aggregates
-        under the same few parents that is quadratic.  Here all keys are
+        under the same few parents that is quadratic.  Here all targets are
         attached first, then each affected parent's children are swept
         once: a child belongs under a new aggregate exactly when its
-        projection onto the aggregate's specificity vector *is* that
-        aggregate (containment in a per-feature hierarchy), so the sweep
-        costs one projection per child and candidate level instead of one
+        signature at the aggregate's specificity vector *is* the
+        aggregate's (containment in a per-feature hierarchy), so the sweep
+        costs one signature per child and candidate level instead of one
         containment test per (child, new aggregate) pair.
         """
-        created: Dict[FlowKey, FlowtreeNode] = {}
+        created: Dict[Tuple[Tuple[int, ...], tuple], FlowtreeNode] = {}
         parents: List[FlowtreeNode] = []
         seq = self._stats.updates
-        for key in keys:
-            if key in self._nodes:
-                continue
+        for vec, sig, descendant in targets:
+            key = descendant.generalize_to_vector(vec)
             ancestor = self._longest_matching_ancestor(key)
             node = FlowtreeNode(key, created_seq=seq)
             ancestor.attach_child(node)
             self._nodes[key] = node
             self._stats.inserts += 1
-            vec = key.specificity_vector
             if vec != self._max_spec and vec in self._traj_index:
                 self._level_added(vec)
             self._query_index.node_added(node)
-            created[key] = node
+            created[(vec, sig)] = node
             parents.append(ancestor)
         if not created:
-            return created
+            return
         # Candidate levels, deepest first, so a child lands under its
         # nearest containing aggregate when the new keys are nested.
-        levels = sorted(
-            {key.specificity_vector for key in created},
-            key=lambda vec: -sum(vec),
-        )
+        levels = sorted({vec for vec, _ in created}, key=lambda vec: -sum(vec))
         swept = set()
         for parent in parents:
             if id(parent) in swept:
                 continue
             swept.add(id(parent))
             for child in list(parent.children.values()):
-                child_vec = child.key.specificity_vector
+                child_key = child.key
+                child_vec = child_key.specificity_vector
                 for vec in levels:
-                    if child_vec == vec:
-                        continue
-                    if all(c >= v for c, v in zip(child_vec, vec)):
-                        target = created.get(child.key.generalize_to_vector(vec))
-                        if target is not None and target is not child:
+                    if child_vec != vec and covers(vec, child_vec):
+                        target = created.get((vec, signature_at(child_key, vec)))
+                        if target is not None:
                             target.attach_child(child)
                             break
-        return created
 
     # -- queries ----------------------------------------------------------------
 

@@ -206,11 +206,13 @@ class ChainBuilder:
                 table[spec] = max((level for level in levels if level < spec), default=0)
             self._lower.append(table)
         # Fold-step cache: specificity vector -> (feature index, target
-        # specificity) of the canonical parent.  Policies depend only on the
-        # specificity vector, so every key at the same lattice level shares
-        # one fold step; the bulk rebuild compactor folds whole levels at a
-        # time and hits this cache for all but the first key of each level.
-        self._fold_steps: Dict[Tuple[int, ...], Tuple[int, int]] = {}
+        # specificity, parent vector) of the canonical parent.  Policies
+        # depend only on the specificity vector, so every key at the same
+        # lattice level shares one fold step; both compactors climb in token
+        # space and hit this cache for all but the first key of each level.
+        self._fold_steps: Dict[
+            Tuple[int, ...], Tuple[int, int, Tuple[int, ...]]
+        ] = {}
 
     @classmethod
     def for_schema(
@@ -256,8 +258,8 @@ class ChainBuilder:
 
     # -- chain operations ---------------------------------------------------------
 
-    def fold_step(self, vector: Tuple[int, ...]) -> Tuple[int, int]:
-        """``(feature index, target specificity)`` of the canonical parent.
+    def fold_step(self, vector: Tuple[int, ...]) -> Tuple[int, int, Tuple[int, ...]]:
+        """``(feature index, target specificity, parent vector)`` of the canonical parent.
 
         Valid for any non-root specificity vector; cached per vector, since
         the parent step is a pure function of the vector (never of the
@@ -268,13 +270,14 @@ class ChainBuilder:
             index = self._policy.choose_feature(vector, self._max)
             current = vector[index]
             table = self._lower[index]
-            step = (index, table[current] if current < len(table) else table[-1])
+            target = table[current] if current < len(table) else table[-1]
+            step = (index, target, vector[:index] + (target,) + vector[index + 1:])
             self._fold_steps[vector] = step
         return step
 
     def parent(self, key: FlowKey) -> FlowKey:
         """Canonical parent: one generalization step along the policy trajectory."""
-        index, target = self.fold_step(key.specificity_vector)
+        index, target, _ = self.fold_step(key.specificity_vector)
         return key.generalize_feature_to(index, target)
 
     def chain(self, key: FlowKey) -> Iterator[FlowKey]:

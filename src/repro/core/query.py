@@ -22,9 +22,14 @@ This module supplies the missing query-side structure, a
   lookup instead of a containment sweep; levels are materialized lazily on
   first use and maintained incrementally afterwards.
 
-The index is fully lazy: it costs nothing until the first query touches
-it (every maintenance hook is an O(1) no-op while the index is cold), and
-bulk rewrites (the rebuild compactor) simply drop it wholesale.
+The index is lazy: it costs nothing until the first query *or the first
+incremental compaction* touches it (every maintenance hook is an O(1)
+no-op while the index is cold).  The registry is shared with the update
+path — both compactors work in the same token space
+(:mod:`repro.core.compaction`): the incremental rounds build it on entry
+and probe it instead of constructing ancestor keys, and the rebuild
+compactor drops the index wholesale and re-primes the registry from its
+survivors.  Either way the first query after a compaction finds it warm.
 """
 
 from __future__ import annotations
@@ -81,7 +86,8 @@ class QueryIndex:
     """Incrementally-maintained query-side index of one Flowtree.
 
     Lifecycle: the index starts *cold* (nothing built, hooks are no-ops).
-    The first query call builds the per-level registry in one O(n) pass;
+    The first query call — or the first incremental compaction, via
+    :meth:`registry` — builds the per-level registry in one O(n) pass;
     from then on :meth:`node_added` / :meth:`node_removed` keep the
     registry — and any materialized projections — in sync per mutation.
     :meth:`invalidate` (bulk rewrites: rebuild compaction, deserialization
@@ -90,7 +96,8 @@ class QueryIndex:
 
     def __init__(self, tree: "Flowtree") -> None:
         self._tree = tree
-        self._valid = False
+        #: Whether the registry is built and the hooks are live (read-only).
+        self.warm = False
         # kept specificity vector -> own-level token signature -> node
         self._by_vec: Dict[Tuple[int, ...], Dict[Signature, FlowtreeNode]] = {}
         # kept levels sorted by descending total specificity (ancestor probes)
@@ -107,7 +114,7 @@ class QueryIndex:
 
     def invalidate(self) -> None:
         """Drop all index state (next query rebuilds lazily)."""
-        self._valid = False
+        self.warm = False
         self._by_vec = {}
         self._levels_desc = None
         self._projections = {}
@@ -122,7 +129,7 @@ class QueryIndex:
         per-level registry it accumulates along the way is exactly what
         :meth:`_ensure` would recompute from scratch on the first query
         after the rebuild.  Handing it over here makes the projection index
-        a *by-product* of the rebuild: the index comes up warm (``_valid``)
+        a *by-product* of the rebuild: the index comes up :attr:`warm`
         and the maintenance hooks take over immediately.
 
         The caller owns the contract that ``by_vec`` covers every node in
@@ -133,11 +140,11 @@ class QueryIndex:
         self._levels_desc = None
         self._projections = {}
         self._plans = {}
-        self._valid = True
+        self.warm = True
 
     def node_added(self, node: FlowtreeNode) -> None:
         """Register a newly kept node (O(1) no-op while the index is cold)."""
-        if not self._valid:
+        if not self.warm:
             return
         key = node.key
         vec = key.specificity_vector
@@ -153,7 +160,7 @@ class QueryIndex:
 
     def node_removed(self, node: FlowtreeNode) -> None:
         """Unregister a removed node (O(1) no-op while the index is cold)."""
-        if not self._valid:
+        if not self.warm:
             return
         key = node.key
         vec = key.specificity_vector
@@ -172,8 +179,21 @@ class QueryIndex:
 
     # -- lazy construction ---------------------------------------------------
 
+    def registry(self) -> Dict[Tuple[int, ...], Dict[Signature, FlowtreeNode]]:
+        """The live per-level registry ``vec -> signature -> node`` (built if cold).
+
+        This is the update path's view of the index: the incremental
+        compactor asks "is the aggregate at ``(vec, sig)`` kept?" here
+        instead of building the key to look it up.  The hooks mutate the
+        returned dict in place and :meth:`node_removed` deletes emptied
+        buckets, so probe ``registry.get(vec)`` afresh each time rather
+        than holding a bucket across a structural change.
+        """
+        self._ensure()
+        return self._by_vec
+
     def _ensure(self) -> None:
-        if self._valid:
+        if self.warm:
             return
         by_vec: Dict[Tuple[int, ...], Dict[Signature, FlowtreeNode]] = {}
         for node in self._tree._nodes.values():
@@ -184,7 +204,7 @@ class QueryIndex:
         self._levels_desc = None
         self._projections = {}
         self._plans = {}
-        self._valid = True
+        self.warm = True
 
     def _levels(self) -> List[Tuple[int, Tuple[int, ...]]]:
         levels = self._levels_desc

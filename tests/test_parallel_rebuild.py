@@ -140,12 +140,12 @@ class TestPrimedIndex:
     def test_rebuild_leaves_index_warm(self):
         tree = grown_tree(REBUILD_CONFIG)
         tree.compact()
-        assert tree._query_index._valid
+        assert tree._query_index.warm
 
     def test_parallel_rebuild_leaves_index_warm(self):
         tree = grown_tree(REBUILD_CONFIG)
         parallel_rebuild([tree], processes=1)
-        assert tree._query_index._valid
+        assert tree._query_index.warm
 
     def test_primed_index_answers_match_cold_rebuild(self):
         primed = grown_tree(REBUILD_CONFIG)
