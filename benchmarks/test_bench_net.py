@@ -32,7 +32,7 @@ from repro.analysis import render_table
 from repro.core.config import FlowtreeConfig
 from repro.core.key import FlowKey
 from repro.core.serialization import to_bytes
-from repro.distributed import Collector, FlowtreeDaemon, SimulatedTransport
+from repro.distributed import Collector, CollectorConfig, FlowtreeDaemon, SimulatedTransport
 from repro.distributed.net import CollectorServer, SiteClient
 from repro.features.schema import SCHEMA_4F
 from repro.traces import CaidaLikeTraceGenerator
@@ -77,6 +77,12 @@ def _build_messages():
     return messages, keys, bin_width
 
 
+def _collector_config(bin_width):
+    return CollectorConfig(
+        bin_width=bin_width, storage=FlowtreeConfig(max_nodes=NODE_BUDGET)
+    )
+
+
 def _summarize(collector, keys):
     totals, _ = collector.estimate_many(keys, start_bin=1, end_bin=TARGET_BINS - 2)
     merged = collector.merged(start_bin=1, end_bin=TARGET_BINS - 2)
@@ -87,8 +93,7 @@ def _drive_memory(messages, keys, bin_width):
     """Send the stream through the simulated transport and query it."""
     transport = SimulatedTransport()
     transport.register("edge-1")
-    collector = Collector(SCHEMA_4F, transport, bin_width=bin_width,
-                          storage_config=FlowtreeConfig(max_nodes=NODE_BUDGET))
+    collector = Collector(SCHEMA_4F, transport, config=_collector_config(bin_width))
 
     def work():
         for message in messages:
@@ -104,8 +109,7 @@ def _drive_memory(messages, keys, bin_width):
 def _drive_tcp(messages, keys, bin_width):
     """Send the stream over localhost TCP (frames, acks) and query it."""
     with CollectorServer().start() as server:
-        collector = Collector(SCHEMA_4F, server, bin_width=bin_width,
-                              storage_config=FlowtreeConfig(max_nodes=NODE_BUDGET))
+        collector = Collector(SCHEMA_4F, server, config=_collector_config(bin_width))
         with SiteClient(server.host, server.port, site="edge-1") as client:
             client.register("edge-1")
             client.register("collector")

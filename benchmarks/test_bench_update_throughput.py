@@ -349,73 +349,6 @@ def test_parallel_sharded_ingestion_speedup(benchmark):
 
 
 @pytest.mark.benchmark(group="update-throughput")
-def test_parallel_rebuild_fold_equivalence(benchmark):
-    """CLAIM-COMPACT extension: the per-shard parallel fold changes nothing.
-
-    ``ShardedFlowtree.compact_parallel`` ships each over-budget shard's
-    flattened token-space levels to a worker process and runs the exact
-    serial fold there, so its gated claim is **byte-identity** with the
-    serial ``compact()`` — asserted unconditionally, whatever the core
-    count.  The wall-clock ratio is recorded as an annotation only (no
-    ``rel_`` prefix: on a single-CPU runner worker processes cannot beat
-    the in-process fold, exactly like CLAIM-PARALLEL's ingestion ratio).
-    """
-    generator = CaidaLikeTraceGenerator(seed=107, flow_population=200_000)
-    packets = list(generator.packets(60_000))
-    config = FlowtreeConfig(max_nodes=2_000)
-
-    def grown():
-        sharded = ShardedFlowtree(SCHEMA_4F, config, num_shards=4)
-        sharded.add_batch(packets)
-        # Overfill past the per-shard target so compact() has real work.
-        sharded.add_batch(packets[: len(packets) // 2])
-        return sharded
-
-    def run():
-        serial_times, parallel_times = [], []
-        for _ in range(3):
-            serial = grown()
-            # The shards sit only a little over target: force the serial
-            # side onto the rebuild strategy compact_parallel always runs.
-            with mock.patch.object(compaction, "REBUILD_OVERSHOOT", 0):
-                start = time.perf_counter()
-                serial_removed = serial.compact()
-                serial_times.append(time.perf_counter() - start)
-            parallel = grown()
-            start = time.perf_counter()
-            parallel_removed = parallel.compact_parallel(processes=4)
-            parallel_times.append(time.perf_counter() - start)
-        return (
-            serial, parallel, serial_removed, parallel_removed,
-            statistics.median(serial_times), statistics.median(parallel_times),
-        )
-
-    serial, parallel, serial_removed, parallel_removed, serial_time, parallel_time = (
-        benchmark.pedantic(run, rounds=1, iterations=1)
-    )
-    cpus = _available_cpus()
-    benchmark.extra_info["parallel_fold_speedup_vs_serial"] = round(
-        serial_time / parallel_time, 3
-    )
-    print_header(
-        "CLAIM-COMPACT (parallel fold)",
-        f"serial compact() vs compact_parallel() on 4 shards ({cpus} CPUs; median of 3)",
-    )
-    print(render_table([
-        {"fold": "serial compact()", "fold_ms": round(serial_time * 1e3, 1),
-         "entries_folded": serial_removed},
-        {"fold": "compact_parallel(4)", "fold_ms": round(parallel_time * 1e3, 1),
-         "entries_folded": parallel_removed},
-    ]))
-    # The gated claim: the parallel fold is byte-identical to the serial one.
-    assert parallel_removed == serial_removed
-    from repro.core import to_bytes
-    assert [to_bytes(shard) for shard in serial.shards] == [
-        to_bytes(shard) for shard in parallel.shards
-    ]
-
-
-@pytest.mark.benchmark(group="update-throughput")
 def test_update_cost_vs_hhh_baselines(benchmark):
     """Flowtree touches one node per update; full HHH pays for every level."""
     generator = CaidaLikeTraceGenerator(seed=101, flow_population=20_000)

@@ -23,14 +23,13 @@ created (incremental) or survives (rebuild), never per chain step.
 
 from __future__ import annotations
 
-import os
 from collections import defaultdict
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import FlowtreeConfig
 from repro.core.key import FlowKey
 from repro.core.node import Counters, FlowtreeNode
-from repro.core.policy import ChainBuilder, get_policy
+from repro.core.policy import ChainBuilder
 from repro.core.query import signature_at
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
@@ -294,8 +293,7 @@ def flatten_levels(
     representative (a key or a raw record) exists only to materialize the
     survivor's FlowKey at the end.  Root-keyed batch items are charged to
     the tree's root counters directly.  The result is pure token-space
-    data (plus picklable representatives), which is what lets
-    :func:`parallel_rebuild` ship it to a worker process wholesale.
+    data (plus picklable representatives).
     """
     schema = tree.schema
     max_spec = tree.chain_builder.max_specificity
@@ -474,113 +472,3 @@ def fold_levels(
                         (representative.generalize_to_vector(vec), entry, sig)
                     )
     return survivors, before - len(survivors)
-
-
-def _parallel_fold_worker(payload: tuple) -> tuple:
-    """Fold one shard's flattened levels in a worker process.
-
-    ``payload`` is ``(schema_name, config, levels, before, root_counters,
-    target_nodes)`` — pure picklable token-space state.  Returns
-    ``(survivors, folded, root_delta)`` where ``root_delta`` is how much
-    mass the fold pushed past the last interior level (the parent adds it
-    to the shard root's counters before applying the survivors).
-
-    Module-level by contract: worker targets must be picklable under every
-    multiprocessing start method (the flowlint ``worker-picklability``
-    rule pins this).
-    """
-    schema_name, config, levels, before, root_counters, target_nodes = payload
-    from repro.features.schema import schema_by_name
-
-    levels = defaultdict(dict, levels)
-    schema = schema_by_name(schema_name)
-    chain_builder = ChainBuilder.for_schema(
-        schema,
-        get_policy(config.policy),
-        ip_stride=config.ip_stride,
-        port_stride=config.port_stride,
-    )
-    delta = Counters(0, 0, 0)
-    delta.packets -= root_counters.packets
-    delta.bytes -= root_counters.bytes
-    delta.flows -= root_counters.flows
-    survivors, folded = fold_levels(
-        levels, before, root_counters, target_nodes,
-        schema, chain_builder, config.protected_min_count,
-    )
-    delta.packets += root_counters.packets
-    delta.bytes += root_counters.bytes
-    delta.flows += root_counters.flows
-    return survivors, folded, (delta.packets, delta.bytes, delta.flows)
-
-
-def parallel_rebuild(
-    trees: Sequence["Flowtree"],
-    target_nodes: Optional[int] = None,
-    processes: Optional[int] = None,
-    start_method: Optional[str] = None,
-) -> int:
-    """Rebuild-fold several trees at once, one worker process per fold.
-
-    The per-shard-partition parallel fold: each tree (typically the shards
-    of a :class:`~repro.core.sharded.ShardedFlowtree`) is flattened in the
-    parent, its token-space levels are shipped to a worker process, folded
-    there with :func:`fold_levels`, and the survivors applied back in the
-    parent — so every shard's result is **byte-identical** to calling its
-    serial rebuild, while the folds (the dominant cost) run concurrently.
-
-    ``target_nodes`` is the per-tree compaction target (defaults to each
-    tree's own ``config.target_nodes``).  Trees already at or under their
-    target are skipped.  Returns the total number of entries folded away.
-    With one eligible tree — or ``processes=1`` — the folds run in-process
-    (no worker overhead, same bytes).
-    """
-    work: List[Tuple["Flowtree", int]] = []
-    for tree in trees:
-        target = target_nodes
-        if target is None:
-            target = tree.config.target_nodes or len(tree._nodes)
-        if len(tree._nodes) > target:
-            work.append((tree, target))
-    if not work:
-        return 0
-
-    payloads = []
-    for tree, target in work:
-        levels, before = flatten_levels(tree, ())
-        root = tree.root.counters
-        payloads.append(
-            (
-                tree.schema.name,
-                tree.config,
-                dict(levels),
-                before,
-                Counters(root.packets, root.bytes, root.flows),
-                target,
-            )
-        )
-
-    if processes is None:
-        processes = min(len(payloads), os.cpu_count() or 1)
-    if processes <= 1 or len(payloads) == 1:
-        results = [_parallel_fold_worker(payload) for payload in payloads]
-    else:
-        from repro.core.parallel import worker_context
-
-        with worker_context(start_method).Pool(processes) as pool:
-            results = pool.map(_parallel_fold_worker, payloads)
-
-    folded_total = 0
-    for (tree, _target), (survivors, folded, root_delta) in zip(work, results):
-        root_counters = tree.root.counters
-        root_counters.packets += root_delta[0]
-        root_counters.bytes += root_delta[1]
-        root_counters.flows += root_delta[2]
-        tree.root.invalidate_subtree_cache()
-        tree._rebuild_from_entries(survivors)
-        tree.stats.rebuilds += 1
-        if folded > 0:
-            tree.stats.compactions += 1
-            tree.stats.folded_nodes += folded
-        folded_total += folded
-    return folded_total

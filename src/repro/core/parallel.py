@@ -84,10 +84,7 @@ def worker_context(start_method: Optional[str] = None):
     """Multiprocessing context with the executor's start-method policy.
 
     Defaults to ``fork`` where available (cheapest: workers inherit loaded
-    modules) and the platform default elsewhere.  Shared by every component
-    that spawns worker processes (:class:`ShardWorkerPool`, the parallel
-    rebuild fold in :mod:`repro.core.compaction`), so they all make the
-    same platform choice.
+    modules) and the platform default elsewhere.
     """
     if start_method is None:
         methods = multiprocessing.get_all_start_methods()

@@ -215,13 +215,6 @@ class ShardedFlowtree(RecordIngest):
             return self._shards
         return self._pool.shard_trees()
 
-    def _local_shards(self, operation: str) -> Tuple[Flowtree, ...]:
-        if self._pool is not None:
-            raise ConfigurationError(
-                f"{operation} needs in-process shards; these live in worker processes"
-            )
-        return self._shards
-
     @property
     def pool(self) -> Optional["ShardWorkerPool"]:
         """The worker pool owning the shards (``None`` when in-process)."""
@@ -360,27 +353,11 @@ class ShardedFlowtree(RecordIngest):
 
     def compact(self) -> int:
         """Compact every (in-process) shard to its target size; returns nodes removed."""
-        return sum(shard.compact() for shard in self._local_shards("compact()"))
-
-    def compact_parallel(
-        self,
-        processes: Optional[int] = None,
-        start_method: Optional[str] = None,
-    ) -> int:
-        """Rebuild-fold every over-budget (in-process) shard, one worker per fold.
-
-        Byte-identical to the serial rebuild fold of each shard — the exact
-        serial algorithm on the exact serial input, just in its own process
-        (see :func:`repro.core.compaction.parallel_rebuild`).  Returns the
-        total number of entries folded away.
-        """
-        from repro.core.compaction import parallel_rebuild
-
-        return parallel_rebuild(
-            self._local_shards("compact_parallel()"),
-            processes=processes,
-            start_method=start_method,
-        )
+        if self._pool is not None:
+            raise ConfigurationError(
+                "compact() needs in-process shards; these live in worker processes"
+            )
+        return sum(shard.compact() for shard in self._shards)
 
     def validate(self) -> None:
         """Validate the structural invariants of every shard."""

@@ -120,16 +120,14 @@ class Collector:
         schema: FlowSchema,
         transport: Transport,
         name: str = "collector",
-        bin_width: float = 60.0,
-        storage_config: Optional[FlowtreeConfig] = None,
         config: Optional[CollectorConfig] = None,
         store: Optional[TimeSeriesStore] = None,
         faults: Optional[FaultPlan] = None,
     ) -> None:
-        """``config`` wins over the legacy ``bin_width``/``storage_config``
-        arguments; a prebuilt ``store`` wins over ``config.store``."""
+        """``config`` defaults to ``CollectorConfig()``; a prebuilt ``store``
+        wins over ``config.store``."""
         if config is None:
-            config = CollectorConfig(bin_width=bin_width, storage=storage_config)
+            config = CollectorConfig()
         self._schema = schema
         self._transport = transport
         self._name = name
@@ -531,7 +529,8 @@ class Collector:
             return self.sites
 
     def flush(self) -> None:
-        """Persist any dirty bins to the backend."""
+        """Durability barrier: every ingested message is already committed;
+        this forces the backend's writes to stable storage."""
         with self._lock:
             self._store.flush()
 

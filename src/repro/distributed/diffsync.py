@@ -106,9 +106,9 @@ class DiffSyncDecoder:
         payload_tree = from_bytes(message.payload)
         if message.kind == SUMMARY_FULL:
             # The payload tree is freshly deserialized and owned here, so
-            # it doubles as the baseline without a defensive copy; a later
-            # message for the same site replaces the baseline reference in
-            # this method before any caller-side merge could mutate it.
+            # it doubles as the baseline without a defensive copy: the
+            # collector commits it as-is and the store never mutates a
+            # committed tree (merges are built aside).
             reconstructed = payload_tree
             self._previous[message.site] = reconstructed
         elif message.kind == SUMMARY_DIFF:

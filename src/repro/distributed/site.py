@@ -177,8 +177,7 @@ class Deployment:
                     schema,
                     collector_transport,
                     name=name,
-                    bin_width=bin_width,
-                    config=collector_config,
+                    config=collector_config or CollectorConfig(bin_width=bin_width),
                     faults=faults,
                 )
             )

@@ -4,8 +4,8 @@ A :class:`TimeSeriesStore` persists one serialized Flowtree per
 ``(site, bin_index)`` plus a small metadata key/value space (bin origins,
 diff-decoder baselines, dedup guards).  Three backends implement it:
 
-* :class:`~repro.distributed.stores.memory.MemoryStore` — live trees in
-  process memory (the pre-store collector behavior, and the default),
+* :class:`~repro.distributed.stores.memory.MemoryStore` — committed trees
+  held in process memory (the default),
 * :class:`~repro.distributed.stores.segment.SegmentFileStore` — append-only
   segment files plus an atomically-replaced index,
 * :class:`~repro.distributed.stores.sqlite.SQLiteStore` — one row per bin
@@ -14,10 +14,16 @@ diff-decoder baselines, dedup guards).  Three backends implement it:
 The durable backends share :class:`CachedTreeStore`: an LRU *hot-bin cache*
 of deserialized trees, so repeated queries against the same bins never
 re-parse, and reads of untouched bins never materialize at all (range
-merges only deserialize the bins the range selects).  Mutating a cached
-tree in place is supported through :meth:`TimeSeriesStore.mark_dirty` +
-:meth:`TimeSeriesStore.flush`; evicting a dirty bin persists it first, so
-the cache never loses writes.
+merges only deserialize the bins the range selects).
+
+The one invariant every backend keeps: a store holds *committed* state
+only.  :meth:`TimeSeriesStore.put` is the commit point and the only way a
+bin changes; a tree obtained from :meth:`TimeSeriesStore.get` is the
+committed bin and must not be mutated — build the replacement aside
+(``existing.merged(update)``) and ``put`` it.  A failed ``put`` therefore
+leaves the served tree, the cached tree and the backend bytes exactly as
+they were, eviction never writes, and :meth:`TimeSeriesStore.flush` is
+purely a durability barrier.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from __future__ import annotations
 import struct
 from abc import ABC, abstractmethod
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import TracebackType
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
@@ -109,7 +115,6 @@ class StoreStats:
     loads: int = 0  # deserializations from the backend
     cache_hits: int = 0
     evictions: int = 0
-    flushed_dirty: int = 0
 
     def snapshot(self) -> Dict[str, int]:
         """Plain-dict copy for reporting."""
@@ -118,7 +123,6 @@ class StoreStats:
             "loads": self.loads,
             "cache_hits": self.cache_hits,
             "evictions": self.evictions,
-            "flushed_dirty": self.flushed_dirty,
         }
 
 
@@ -131,6 +135,8 @@ class TimeSeriesStore(ABC):
     metadata updates passed alongside it become visible atomically, so a
     crash between two ``put`` calls can never expose a half-applied
     message (the property the collector's restart recovery relies on).
+    It is also the *only* write: trees handed out by ``get`` are committed
+    state and are never mutated by callers.
     """
 
     #: Short backend identifier (``memory`` / ``file`` / ``sqlite``).
@@ -169,20 +175,12 @@ class TimeSeriesStore(ABC):
         """Install (or replace) one bin's tree, atomically with ``meta`` updates."""
 
     @abstractmethod
-    def stage(self, site: str, bin_index: int, tree: Flowtree) -> None:
-        """Register a new live tree without a backend write (persisted by :meth:`flush`)."""
-
-    @abstractmethod
     def get(self, site: str, bin_index: int) -> Optional[Flowtree]:
-        """The live tree of one bin (lazily deserialized), or ``None``."""
+        """The committed tree of one bin (lazily deserialized; read-only), or ``None``."""
 
     @abstractmethod
     def get_bytes(self, site: str, bin_index: int) -> Optional[bytes]:
         """The serialized form of one bin, or ``None``."""
-
-    @abstractmethod
-    def mark_dirty(self, site: str, bin_index: int) -> None:
-        """Record that a tree returned by :meth:`get` was mutated in place."""
 
     @abstractmethod
     def bin_indices(self, site: str) -> List[int]:
@@ -215,7 +213,7 @@ class TimeSeriesStore(ABC):
 
     @abstractmethod
     def flush(self) -> None:
-        """Persist every dirty bin (no-op for write-through-only usage)."""
+        """Durability barrier: force every committed ``put`` to stable storage."""
 
     @abstractmethod
     def close(self) -> None:
@@ -245,20 +243,14 @@ class TimeSeriesStore(ABC):
         self.close()
 
 
-@dataclass
-class _CacheEntry:
-    tree: Flowtree
-    dirty: bool = field(default=False)
-
-
 class CachedTreeStore(TimeSeriesStore):
     """Shared LRU hot-bin cache + lazy deserialization for durable backends.
 
     Subclasses implement the raw payload/metadata primitives
     (``_write_payload`` & friends); this class decides *when* payloads are
-    (de)serialized: reads materialize on first touch and stay hot, writes
-    go through immediately on :meth:`put` and lazily (``stage`` +
-    ``mark_dirty`` + :meth:`flush`) for in-place record ingestion.
+    (de)serialized: reads materialize on first touch and stay hot, and
+    :meth:`put` writes through before the tree enters the cache — so the
+    cache only ever holds committed trees and eviction just drops them.
     """
 
     durable = True
@@ -268,7 +260,7 @@ class CachedTreeStore(TimeSeriesStore):
         if cache_bins < 1:
             raise ValueError(f"cache_bins must be positive, got {cache_bins}")
         self._cache_bins = cache_bins
-        self._cache: "OrderedDict[Tuple[str, int], _CacheEntry]" = OrderedDict()
+        self._cache: "OrderedDict[Tuple[str, int], Flowtree]" = OrderedDict()
         self._closed = False
 
     # -- backend primitives (subclass responsibility) ------------------------------
@@ -286,14 +278,6 @@ class CachedTreeStore(TimeSeriesStore):
     @abstractmethod
     def _delete_bins(self, site: str, bin_index: int) -> int:
         """Drop the backend's record of bins below ``bin_index``."""
-
-    @abstractmethod
-    def _backend_bin_indices(self, site: str) -> List[int]:
-        """Sorted bin indices the backend has committed for a site."""
-
-    @abstractmethod
-    def _backend_sites(self) -> List[str]:
-        """Sorted site names the backend has committed bins for."""
 
     @abstractmethod
     def _close_backend(self) -> None:
@@ -314,90 +298,44 @@ class CachedTreeStore(TimeSeriesStore):
             key: value for key, value in (meta or {}).items()
         }
         self._write_payload(site, bin_index, payload, updates)
-        self._cache_insert(site, bin_index, tree, dirty=False)
+        self._cache_insert(site, bin_index, tree)
         self.stats.puts += 1
 
-    def stage(self, site: str, bin_index: int, tree: Flowtree) -> None:
-        self._cache_insert(site, bin_index, tree, dirty=True)
-
     def get(self, site: str, bin_index: int) -> Optional[Flowtree]:
-        entry = self._cache.get((site, bin_index))
-        if entry is not None:
+        tree = self._cache.get((site, bin_index))
+        if tree is not None:
             self._cache.move_to_end((site, bin_index))
             self.stats.cache_hits += 1
-            return entry.tree
+            return tree
         payload = self._read_payload(site, bin_index)
         if payload is None:
             return None
         tree = from_bytes(payload)
         self.stats.loads += 1
-        self._cache_insert(site, bin_index, tree, dirty=False)
+        self._cache_insert(site, bin_index, tree)
         return tree
 
     def get_bytes(self, site: str, bin_index: int) -> Optional[bytes]:
-        entry = self._cache.get((site, bin_index))
-        if entry is not None and entry.dirty:
-            self._flush_entry(site, bin_index, entry)
         return self._read_payload(site, bin_index)
 
-    def mark_dirty(self, site: str, bin_index: int) -> None:
-        entry = self._cache.get((site, bin_index))
-        if entry is None:
-            raise KeyError(f"bin ({site!r}, {bin_index}) is not resident; cannot mark dirty")
-        entry.dirty = True
-        self._cache.move_to_end((site, bin_index))
-
-    def bin_indices(self, site: str) -> List[int]:
-        # Staged (not yet flushed) bins are visible alongside committed ones.
-        indices = set(self._backend_bin_indices(site))
-        indices.update(index for cached_site, index in self._cache if cached_site == site)
-        return sorted(indices)
-
-    def sites(self) -> List[str]:
-        names = set(self._backend_sites())
-        names.update(site for site, _ in self._cache)
-        return sorted(names)
-
     def delete_before(self, site: str, bin_index: int) -> int:
-        staged_only = {
-            k for k in self._cache
-            if k[0] == site and k[1] < bin_index
-        }
-        committed = set(self._backend_bin_indices(site))
-        for key in sorted(staged_only):
+        for key in [k for k in self._cache if k[0] == site and k[1] < bin_index]:
             del self._cache[key]
-        removed = self._delete_bins(site, bin_index)
-        # Bins that existed only in the cache still count as removed.
-        removed += len([k for k in staged_only if k[1] not in committed])
-        return removed
-
-    def flush(self) -> None:
-        for (site, index), entry in list(self._cache.items()):
-            if entry.dirty:
-                self._flush_entry(site, index, entry)
+        return self._delete_bins(site, bin_index)
 
     def close(self) -> None:
         if self._closed:
             return
-        self.flush()
         self._closed = True
         self._cache.clear()
         self._close_backend()
 
     # -- cache internals --------------------------------------------------------------
 
-    def _flush_entry(self, site: str, bin_index: int, entry: _CacheEntry) -> None:
-        self._write_payload(site, bin_index, to_bytes(entry.tree), {})
-        entry.dirty = False
-        self.stats.flushed_dirty += 1
-
-    def _cache_insert(self, site: str, bin_index: int, tree: Flowtree, dirty: bool) -> None:
+    def _cache_insert(self, site: str, bin_index: int, tree: Flowtree) -> None:
         key = (site, bin_index)
-        self._cache[key] = _CacheEntry(tree=tree, dirty=dirty)
+        self._cache[key] = tree
         self._cache.move_to_end(key)
         while len(self._cache) > self._cache_bins:
-            old_key, old_entry = next(iter(self._cache.items()))
-            if old_entry.dirty:
-                self._flush_entry(old_key[0], old_key[1], old_entry)
-            del self._cache[old_key]
+            self._cache.popitem(last=False)
             self.stats.evictions += 1

@@ -1,10 +1,11 @@
-"""In-process time-series store (the pre-store collector behavior).
+"""In-process time-series store (the default backend).
 
 Trees live as plain Python objects in nested dicts — no serialization on
-the ingest path, no durability.  ``get`` hands back the same live object
-``put`` received, so callers that mutate bins in place (the record-ingest
-path of :class:`~repro.distributed.timeseries.FlowtreeTimeSeries`) behave
-exactly like the pre-store in-memory collector did.
+the ingest path, no durability.  ``put`` is the commit: it swaps the bin's
+reference, and ``get`` hands back the object the last ``put`` received.
+Like every backend it holds committed state only, so callers never mutate
+a tree they got from ``get``; they build the replacement aside and ``put``
+it, and a failed ``put`` leaves the bin exactly as it was.
 """
 
 from __future__ import annotations
@@ -40,18 +41,12 @@ class MemoryStore(TimeSeriesStore):
             self.set_meta(key, value)
         self.stats.puts += 1
 
-    def stage(self, site: str, bin_index: int, tree: Flowtree) -> None:
-        self._trees.setdefault(site, {})[bin_index] = tree
-
     def get(self, site: str, bin_index: int) -> Optional[Flowtree]:
         return self._trees.get(site, {}).get(bin_index)
 
     def get_bytes(self, site: str, bin_index: int) -> Optional[bytes]:
         tree = self.get(site, bin_index)
         return None if tree is None else to_bytes(tree)
-
-    def mark_dirty(self, site: str, bin_index: int) -> None:
-        pass  # live objects: mutation is already visible
 
     def bin_indices(self, site: str) -> List[int]:
         return sorted(self._trees.get(site, {}))

@@ -216,10 +216,15 @@ class SegmentFileStore(CachedTreeStore):
             self._commit_index()
         return len(old)
 
-    def _close_backend(self) -> None:
+    def flush(self) -> None:
+        """Flush and fsync the active segment (every commit already renamed its index)."""
         if self._writer is not None:
             self._writer.flush()
             os.fsync(self._writer.fileno())
+
+    def _close_backend(self) -> None:
+        self.flush()
+        if self._writer is not None:
             self._writer.close()
             self._writer = None
         for reader in self._readers.values():
@@ -248,10 +253,10 @@ class SegmentFileStore(CachedTreeStore):
 
     # -- enumeration / accounting -----------------------------------------------------
 
-    def _backend_bin_indices(self, site: str) -> List[int]:
+    def bin_indices(self, site: str) -> List[int]:
         return sorted(self._bins.get(site, {}))
 
-    def _backend_sites(self) -> List[str]:
+    def sites(self) -> List[str]:
         return sorted(site for site, bins in self._bins.items() if bins)
 
     def payload_bytes(self) -> int:
@@ -260,7 +265,6 @@ class SegmentFileStore(CachedTreeStore):
         )
 
     def disk_bytes(self) -> int:
-        self.flush()
         total = 0
         for path in self._segments_dir.glob("seg-*.dat"):
             total += path.stat().st_size

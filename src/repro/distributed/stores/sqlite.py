@@ -79,8 +79,12 @@ class SQLiteStore(CachedTreeStore):
             )
         return cursor.rowcount
 
-    def _close_backend(self) -> None:
+    def flush(self) -> None:
+        """Every ``put`` is its own committed transaction; nothing is buffered here."""
         self._conn.commit()
+
+    def _close_backend(self) -> None:
+        self.flush()
         self._conn.close()
 
     # -- metadata ---------------------------------------------------------------
@@ -113,13 +117,13 @@ class SQLiteStore(CachedTreeStore):
 
     # -- enumeration / accounting -----------------------------------------------------
 
-    def _backend_bin_indices(self, site: str) -> List[int]:
+    def bin_indices(self, site: str) -> List[int]:
         rows = self._conn.execute(
             "SELECT bin FROM bins WHERE site = ? ORDER BY bin", (site,)
         ).fetchall()
         return [row[0] for row in rows]
 
-    def _backend_sites(self) -> List[str]:
+    def sites(self) -> List[str]:
         rows = self._conn.execute("SELECT DISTINCT site FROM bins ORDER BY site").fetchall()
         return [row[0] for row in rows]
 
@@ -128,7 +132,6 @@ class SQLiteStore(CachedTreeStore):
         return int(row[0])
 
     def disk_bytes(self) -> int:
-        self.flush()
         self._conn.execute("PRAGMA wal_checkpoint(PASSIVE)")
         total = 0
         for suffix in ("", "-wal", "-shm"):

@@ -9,10 +9,16 @@ this cheap).
 
 Bins live behind a pluggable :class:`~repro.distributed.stores.base.TimeSeriesStore`
 (in-memory by default; segment-file and SQLite backends persist across
-restarts).  Reads materialize bins lazily through the store's hot-bin
-cache, so a range query only deserializes the bins the range touches, and
-eviction (:meth:`FlowtreeTimeSeries.evict_before`) flows through to
-backend deletion.
+restarts).  The store holds committed trees only and
+:meth:`FlowtreeTimeSeries.insert_tree` is this class's one write path: a
+bin's new contents are built aside (``existing.merged(update)``) and
+committed with one ``put``, so a failed commit leaves the bin — as served
+and as stored — untouched; record ingestion (:meth:`add_records`) builds
+one tree per touched bin and goes through the same path.  Reads
+materialize bins lazily through the store's hot-bin cache, so a range
+query only deserializes the bins the range touches, and eviction
+(:meth:`FlowtreeTimeSeries.evict_before`) flows through to backend
+deletion.
 """
 
 from __future__ import annotations
@@ -118,39 +124,33 @@ class FlowtreeTimeSeries:
             )
         return int((timestamp - self._origin) // self._bin_width)
 
-    def _bin_index_establishing(self, timestamp: float) -> int:
-        """Write-path bin lookup: the first record's timestamp fixes the origin."""
-        if self._origin is None:
-            self._origin = timestamp
-            self._persist_origin(timestamp)
-        return int((timestamp - self._origin) // self._bin_width)
-
-    def tree_for_bin(self, bin_index: int) -> Flowtree:
-        """The Flowtree of a bin, created on first access."""
-        tree = self._store.get(self._site, bin_index)
-        if tree is None:
-            tree = Flowtree(self._schema, self._config)
-            self._store.stage(self._site, bin_index, tree)
-        return tree
-
     def add_record(self, record: FlowRecord) -> int:
         """Route one record into its bin; returns the bin index used.
 
-        Mutates the bin's live (cached) tree; durable backends persist
-        dirty bins on :meth:`flush` (and transparently when the hot-bin
-        cache evicts them).
+        One commit per call — feed streams through :meth:`add_records`.
         """
-        bin_index = self._bin_index_establishing(record.timestamp)
-        self.tree_for_bin(bin_index).add_record(record)
-        self._store.mark_dirty(self._site, bin_index)
-        return bin_index
+        self.add_records((record,))
+        return self.bin_index_of(record.timestamp)
 
     def add_records(self, records: Iterable[FlowRecord]) -> int:
-        """Route every record of an iterable; returns the number consumed."""
+        """Route every record of an iterable; returns the number consumed.
+
+        The first record's timestamp fixes the origin.  Records are
+        bucketed per bin, each bucket is batched into a fresh tree and
+        committed through :meth:`insert_tree` — one commit per touched bin.
+        """
+        buckets: Dict[int, List[FlowRecord]] = {}
         count = 0
         for record in records:
-            self.add_record(record)
+            if self._origin is None:
+                self._origin = record.timestamp
+                self._persist_origin(record.timestamp)
+            buckets.setdefault(self.bin_index_of(record.timestamp), []).append(record)
             count += 1
+        for bin_index, bucket in buckets.items():
+            tree = Flowtree(self._schema, self._config)
+            tree.add_batch(bucket)
+            self.insert_tree(bin_index, tree)
         return count
 
     def insert_tree(
@@ -161,19 +161,18 @@ class FlowtreeTimeSeries:
     ) -> None:
         """Install (or merge into) a bin from an externally built summary.
 
-        This is the collector's write-through path: the bin's new contents
-        (and any ``meta`` updates, e.g. dedup guards and diff baselines)
-        are committed to the backend atomically before the call returns.
+        The one write path: the bin's new contents (and any ``meta``
+        updates, e.g. dedup guards and diff baselines) are committed to the
+        backend atomically before the call returns.  A merge is built
+        aside, so a failed commit leaves the served bin untouched.
         """
         existing = self._store.get(self._site, bin_index)
-        if existing is None:
-            self._store.put(self._site, bin_index, tree, meta=meta)
-        else:
-            existing.merge(tree)
-            self._store.put(self._site, bin_index, existing, meta=meta)
+        if existing is not None:
+            tree = existing.merged(tree)
+        self._store.put(self._site, bin_index, tree, meta=meta)
 
     def flush(self) -> None:
-        """Persist every dirty bin to the backend."""
+        """Durability barrier of the backend (every bin is already committed)."""
         self._store.flush()
 
     # -- reading -----------------------------------------------------------------

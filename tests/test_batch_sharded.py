@@ -223,8 +223,6 @@ class TestShardedFlowtree:
             else:
                 with pytest.raises(ConfigurationError):
                     sharded.compact()
-                with pytest.raises(ConfigurationError):
-                    sharded.compact_parallel()
 
 
 def test_shard_placement_is_deterministic_and_total(packet_stream_small):

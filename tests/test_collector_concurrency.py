@@ -23,6 +23,7 @@ from helpers import key2, make_timed_record
 from repro.core.config import FlowtreeConfig
 from repro.distributed import (
     Collector,
+    CollectorConfig,
     FlowtreeDaemon,
     SimulatedTransport,
     Supervisor,
@@ -33,7 +34,7 @@ from repro.features.schema import SCHEMA_2F_SRC_DST
 def _loaded_collector(count=90, bins=3):
     """A memory-store collector with ``count`` summaries pending in its inbox."""
     transport = SimulatedTransport()
-    collector = Collector(SCHEMA_2F_SRC_DST, transport, bin_width=10.0)
+    collector = Collector(SCHEMA_2F_SRC_DST, transport, config=CollectorConfig(bin_width=10.0))
     daemon = FlowtreeDaemon(
         "edge-1", SCHEMA_2F_SRC_DST, transport,
         collector_name=collector.name, bin_width=10.0,

@@ -11,6 +11,7 @@ from repro.distributed import (
     AlertManager,
     AlertPolicy,
     Collector,
+    CollectorConfig,
     Deployment,
     DiffSyncDecoder,
     DiffSyncEncoder,
@@ -249,7 +250,9 @@ class TestTimeSeries:
 class TestDaemonAndCollector:
     def _wire(self, use_diffs=True, bin_width=10.0):
         transport = SimulatedTransport()
-        collector = Collector(SCHEMA_2F_SRC_DST, transport, bin_width=bin_width)
+        collector = Collector(
+            SCHEMA_2F_SRC_DST, transport, config=CollectorConfig(bin_width=bin_width)
+        )
         daemon = FlowtreeDaemon(
             "edge-1", SCHEMA_2F_SRC_DST, transport,
             collector_name=collector.name, bin_width=bin_width,

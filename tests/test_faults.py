@@ -27,6 +27,7 @@ from repro.distributed import (
     FAULT_STORE_TORN_WRITE,
     FAULT_WORKER_CRASH,
     Collector,
+    CollectorConfig,
     FaultPlan,
     FlowtreeDaemon,
     MemoryStore,
@@ -191,7 +192,9 @@ class TestTornWriteSeam:
 def _feed_collector(faults=None, count=120, bins=3):
     """A collector plus a daemon that already exported ``bins`` summaries."""
     transport = SimulatedTransport()
-    collector = Collector(SCHEMA_2F_SRC_DST, transport, bin_width=10.0, faults=faults)
+    collector = Collector(
+        SCHEMA_2F_SRC_DST, transport, config=CollectorConfig(bin_width=10.0), faults=faults
+    )
     daemon = FlowtreeDaemon(
         "edge-1", SCHEMA_2F_SRC_DST, transport,
         collector_name=collector.name, bin_width=10.0,
@@ -251,7 +254,9 @@ class TestCollectorKillSeam:
 
     def test_corrupt_payload_is_counted_and_dropped(self):
         transport = SimulatedTransport()
-        collector = Collector(SCHEMA_2F_SRC_DST, transport, bin_width=10.0)
+        collector = Collector(
+            SCHEMA_2F_SRC_DST, transport, config=CollectorConfig(bin_width=10.0)
+        )
         transport.register("edge-1")
         transport.send(
             "edge-1", collector.name,
@@ -314,8 +319,6 @@ class TestDisabledPlanIsInert:
         assert to_bytes(quiet.merged()) == to_bytes(plain.merged())
 
     def test_reopen_heals_killed_durable_collector(self, tmp_path):
-        from repro.distributed import CollectorConfig
-
         config = CollectorConfig(
             bin_width=10.0, store="file", store_path=str(tmp_path / "seg")
         )

@@ -13,7 +13,13 @@ import pytest
 from repro.analysis import AccuracyEvaluator, heavy_hitter_report, storage_report
 from repro.baselines import ExactAggregator
 from repro.core import FlowKey, Flowtree, FlowtreeConfig, from_bytes, to_bytes
-from repro.distributed import Collector, Deployment, FlowtreeDaemon, SimulatedTransport
+from repro.distributed import (
+    Collector,
+    CollectorConfig,
+    Deployment,
+    FlowtreeDaemon,
+    SimulatedTransport,
+)
 from repro.features.schema import SCHEMA_2F_SRC_DST, SCHEMA_4F, SCHEMA_5F
 from repro.flows import (
     IpfixDecoder,
@@ -47,7 +53,7 @@ class TestCaptureToSummaryPipelines:
         flows = list(packets_to_flows(iter(packets), exporter="edge-9"))
         datagrams = list(encode_datagrams(flows, base_time=packets[0].timestamp))
         transport = SimulatedTransport()
-        collector = Collector(SCHEMA_5F, transport, bin_width=3_600.0)
+        collector = Collector(SCHEMA_5F, transport, config=CollectorConfig(bin_width=3_600.0))
         daemon = FlowtreeDaemon(
             "edge-9", SCHEMA_5F, transport, collector_name=collector.name,
             bin_width=3_600.0, config=FlowtreeConfig(max_nodes=2_000),

@@ -5,14 +5,18 @@ projections, :mod:`repro.core.query`) must answer byte-identically to the
 index-free walkers in :mod:`repro.core.reference` — after *every* mutation
 kind a Flowtree supports.  Queries are interleaved between mutations on
 purpose: a warm cache that survives a mutation it should not survive shows
-up as a hard mismatch here.
+up as a hard mismatch here.  A rebuild hands the index over *warm*
+(primed from the fold's own signatures); ``TestPrimedIndexAfterRebuild``
+pins that the primed index answers like a from-scratch build.
 """
+
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import SimpleRecord, force_incremental, force_rebuild, key4
+from helpers import SimpleRecord, force_incremental, force_rebuild, key4, make_record
 
 from repro.core import (
     Flowtree,
@@ -26,7 +30,9 @@ from repro.core import (
     merge_all,
     to_bytes,
 )
+from repro.core.compaction import flatten_levels, fold_levels
 from repro.core.key import FlowKey
+from repro.core.query import signature_at
 from repro.core.reference import (
     walk_children_of,
     walk_decompose,
@@ -181,6 +187,67 @@ class TestIndexMaintenance:
         assert delta.total_counters().is_zero
         delta.prune_zero_nodes()
         _assert_indexed_matches_reference(delta, records)
+
+
+def _skewed_records(n, seed=11):
+    rng = random.Random(seed)
+    return [
+        make_record(
+            src=f"10.{rng.randint(0, 40)}.{rng.randint(0, 80)}.{rng.randint(0, 255)}",
+            dst=f"192.168.{rng.randint(0, 3)}.{rng.randint(0, 255)}",
+            sport=rng.randint(1024, 1024 + 2000),
+            dport=rng.choice([53, 80, 443, 8080]),
+            protocol=rng.choice([6, 17]),
+            packets=rng.randint(1, 40),
+            bytes=rng.randint(40, 1500),
+        )
+        for _ in range(n)
+    ]
+
+
+def _over_target_tree():
+    """A 300-node-budget tree sitting a little over its compaction target."""
+    tree = Flowtree(SCHEMA_4F, FlowtreeConfig(max_nodes=300))
+    tree.add_records(_skewed_records(4000))
+    return tree
+
+
+def _rebuilt_tree():
+    tree = _over_target_tree()
+    tree.compact()
+    return tree
+
+
+@force_rebuild()
+class TestPrimedIndexAfterRebuild:
+    def test_rebuild_leaves_index_warm(self):
+        assert _rebuilt_tree()._query_index.warm
+
+    def test_primed_index_answers_match_cold_rebuild(self):
+        primed = _rebuilt_tree()
+        cold = _rebuilt_tree()
+        cold._query_index.invalidate()    # force the from-scratch O(n) build
+        keys = [node.key for node in cold._all_nodes()]
+        assert estimate_many(primed, keys) == estimate_many(cold, keys)
+
+    def test_primed_index_tracks_later_mutations(self):
+        tree = _rebuilt_tree()
+        tree.add_records(_skewed_records(500, seed=99))
+        reference = _rebuilt_tree()
+        reference.add_records(_skewed_records(500, seed=99))
+        reference._query_index.invalidate()
+        keys = [node.key for node in reference._all_nodes()][:200]
+        assert estimate_many(tree, keys) == estimate_many(reference, keys)
+
+    def test_fold_levels_signatures_cover_every_survivor(self):
+        tree = _over_target_tree()
+        levels, before = flatten_levels(tree, ())
+        survivors, _ = fold_levels(
+            levels, before, tree.root.counters, 300,
+            tree.schema, tree.chain_builder, 0,
+        )
+        for key, _entry, sig in survivors:
+            assert sig == signature_at(key, key.specificity_vector)
 
 
 class TestQueryApiContracts:

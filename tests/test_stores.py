@@ -4,7 +4,9 @@ Covers the three backends (memory / segment-file / SQLite), their
 byte-for-byte equivalence under ingest + eviction + reopen, segment-store
 crash safety (a torn write must never become visible), collector restart
 recovery (sites, bins, diff baselines, dedup guards), duplicate-delivery
-idempotency, and the bin-geometry validation on ingest.
+idempotency, the bin-geometry validation on ingest, and the store
+invariant: the cache holds committed trees only and ``put`` is the one
+way a bin changes (``TestCommittedOnlyStore``).
 """
 
 import os
@@ -17,18 +19,21 @@ from hypothesis import strategies as st
 
 from helpers import key2
 from repro.core.config import FlowtreeConfig
-from repro.core.errors import DaemonError, QueryError, SerializationError
+from repro.core.errors import DaemonError, FaultError, QueryError, SerializationError
 from repro.core.flowtree import Flowtree
 from repro.core.serialization import from_bytes, summary_header, to_bytes
 from repro.distributed import (
+    FAULT_STORE_COMMIT,
     Collector,
     CollectorConfig,
+    FaultPlan,
     FlowtreeDaemon,
     FlowtreeTimeSeries,
     SimulatedTransport,
 )
 from repro.distributed.messages import SummaryMessage
 from repro.distributed.stores import (
+    STORE_KINDS,
     MemoryStore,
     SegmentFileStore,
     SQLiteStore,
@@ -81,18 +86,18 @@ def message_stream(bins=6, per_bin=40, site="edge-1", drift=0):
     return [message for _, message in transport.receive("collector")]
 
 
-def make_collector(kind, tmp, bin_width=BIN_WIDTH, retain_bins=None):
-    if kind == "memory":
-        path = None
-    elif kind == "file":
-        path = str(Path(tmp) / "fstore")
-    else:
-        path = str(Path(tmp) / "store.db")
+def store_path(kind, tmp):
+    """Where ``kind``'s store lives under ``tmp`` (``None`` for the memory store)."""
+    return {"memory": None, "file": Path(tmp) / "fstore", "sqlite": Path(tmp) / "store.db"}[kind]
+
+
+def make_collector(kind, tmp, bin_width=BIN_WIDTH, retain_bins=None, faults=None):
+    path = store_path(kind, tmp)
     config = CollectorConfig(
-        bin_width=bin_width, storage=STORAGE, store=kind, store_path=path,
-        retain_bins=retain_bins,
+        bin_width=bin_width, storage=STORAGE, store=kind,
+        store_path=None if path is None else str(path), retain_bins=retain_bins,
     )
-    return Collector(SCHEMA_2F_SRC_DST, SimulatedTransport(), config=config)
+    return Collector(SCHEMA_2F_SRC_DST, SimulatedTransport(), config=config, faults=faults)
 
 
 def site_bin_bytes(collector):
@@ -150,16 +155,6 @@ class TestStoreBackends:
             assert store.get_bytes("ghost", 0) is None
             assert store.bin_indices("ghost") == []
 
-    def test_staged_bins_visible_and_flushed(self, backends):
-        for store in backends:
-            tree = small_tree([(("10.0.0.1", "192.0.2.1"), 1)])
-            store.stage("site", 0, tree)
-            assert store.bin_indices("site") == [0]
-            tree.add(key2("10.0.0.2", "192.0.2.1"), packets=4)
-            store.mark_dirty("site", 0)
-            store.flush()
-            assert store.get_bytes("site", 0) == to_bytes(tree)
-
     def test_delete_before(self, backends):
         for store in backends:
             for index in range(5):
@@ -210,18 +205,6 @@ class TestStoreBackends:
         assert reopened.stats.cache_hits == 1
         reopened.close()
 
-    def test_dirty_bin_eviction_persists(self, tmp_path):
-        store = SegmentFileStore(tmp_path / "dirty", cache_bins=2)
-        tree = small_tree([(("10.0.0.1", "192.0.2.1"), 1)])
-        store.stage("site", 0, tree)
-        tree.add(key2("10.0.0.9", "192.0.2.1"), packets=3)
-        store.mark_dirty("site", 0)
-        # Push the dirty bin out of the cache.
-        for index in range(1, 4):
-            store.put("site", index, small_tree([(("10.0.1.1", "192.0.2.1"), index)]))
-        assert store.get_bytes("site", 0) == to_bytes(tree)
-        store.close()
-
     def test_segment_rolls_over(self, tmp_path):
         store = SegmentFileStore(tmp_path / "roll", segment_max_bytes=256)
         for index in range(5):
@@ -245,6 +228,89 @@ class TestStoreBackends:
         store = open_store("sqlite", tmp_path / "f.db")
         assert store.backend == "sqlite"
         store.close()
+
+
+def summary_message(pairs, sequence, bin_index=0):
+    return SummaryMessage(
+        "edge-1", bin_index, bin_index * BIN_WIDTH, (bin_index + 1) * BIN_WIDTH,
+        "full", to_bytes(small_tree(pairs)), sequence=sequence,
+    )
+
+
+class TestCommittedOnlyStore:
+    """``put`` is the commit point and the only write; nothing mutates a served tree."""
+
+    PAIR = ("10.0.0.1", "192.0.2.1")
+
+    @pytest.mark.parametrize("kind", STORE_KINDS)
+    def test_failed_merge_commit_leaves_the_bin_as_committed(self, tmp_path, kind):
+        store = open_store(kind, store_path(kind, tmp_path))
+        series = FlowtreeTimeSeries(
+            SCHEMA_2F_SRC_DST, bin_width=BIN_WIDTH, config=STORAGE, store=store, site="edge"
+        )
+        series.insert_tree(0, small_tree([(self.PAIR, 5)]))
+        committed = store.get_bytes("edge", 0)
+
+        store.attach_faults(FaultPlan(seed=0).arm(FAULT_STORE_COMMIT, max_fires=1))
+        with pytest.raises(FaultError, match=FAULT_STORE_COMMIT):
+            series.insert_tree(0, small_tree([(self.PAIR, 7)]))
+        assert to_bytes(series.tree(0)) == committed
+        assert store.get_bytes("edge", 0) == committed
+
+        series.insert_tree(0, small_tree([(self.PAIR, 7)]))  # plan exhausted: the retry commits
+        assert series.tree(0).total_counters().packets == 12
+        assert from_bytes(store.get_bytes("edge", 0)).total_counters().packets == 12
+        store.close()
+
+    @pytest.mark.parametrize("kind", STORE_KINDS)
+    def test_failed_ingest_of_a_second_summary_for_a_bin_is_retryable(self, tmp_path, kind):
+        faults = FaultPlan(seed=0).arm(FAULT_STORE_COMMIT, after=1, max_fires=1)
+        collector = make_collector(kind, tmp_path, faults=faults)
+        assert collector.ingest(summary_message([(self.PAIR, 5)], sequence=1)) is True
+        committed = collector.store.get_bytes("edge-1", 0)
+
+        second = summary_message([(self.PAIR, 7)], sequence=2)
+        with pytest.raises(FaultError, match=FAULT_STORE_COMMIT):
+            collector.ingest(second)
+        assert collector.messages_processed == 1
+        assert to_bytes(collector.site_series("edge-1").tree(0)) == committed
+        assert collector.store.get_bytes("edge-1", 0) == committed
+
+        assert collector.ingest(second) is True, "retry was dropped"
+        assert collector.estimate(key2(*self.PAIR))[0] == 12
+        assert from_bytes(collector.store.get_bytes("edge-1", 0)).total_counters().packets == 12
+        collector.close()
+
+    @pytest.mark.parametrize("kind", ["file", "sqlite"])
+    def test_only_put_writes_and_enumeration_is_the_committed_set(self, tmp_path, kind):
+        store = open_store(kind, store_path(kind, tmp_path), cache_bins=2)
+        writes = []
+        real_write = store._write_payload
+
+        def counting_write(site, bin_index, payload, meta):
+            writes.append((site, bin_index))
+            real_write(site, bin_index, payload, meta)
+
+        store._write_payload = counting_write
+        for index in range(5):  # cache_bins=2: three of these puts evict
+            store.put(f"site-{index % 2}", index, small_tree([(self.PAIR, index + 1)]))
+        assert len(writes) == store.stats.puts == 5
+        assert store.stats.evictions == 3
+
+        for index in range(5):
+            site = f"site-{index % 2}"
+            assert store.get_bytes(site, index) == to_bytes(store.get(site, index))
+        store.flush()
+        assert len(writes) == 5, "a read, an eviction or flush() wrote to the backend"
+
+        sites = store.sites()
+        indices = {site: store.bin_indices(site) for site in sites}
+        assert indices == {"site-0": [0, 2, 4], "site-1": [1, 3]}
+        store.close()
+        reopened = open_store(kind, store_path(kind, tmp_path))
+        assert reopened.sites() == sites
+        assert {site: reopened.bin_indices(site) for site in sites} == indices
+        reopened.close()
 
 
 class TestSegmentCrashSafety:

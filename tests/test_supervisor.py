@@ -30,14 +30,12 @@ from repro.features.schema import SCHEMA_2F_SRC_DST
 def _wire(tmp_path=None, count=60, bins=2):
     """A collector (memory or durable) with exported summaries pending."""
     transport = SimulatedTransport()
-    config = None
+    config = CollectorConfig(bin_width=10.0)
     if tmp_path is not None:
         config = CollectorConfig(
             bin_width=10.0, store="file", store_path=str(tmp_path / "store")
         )
-    collector = Collector(
-        SCHEMA_2F_SRC_DST, transport, bin_width=10.0, config=config
-    )
+    collector = Collector(SCHEMA_2F_SRC_DST, transport, config=config)
     daemon = FlowtreeDaemon(
         "edge-1", SCHEMA_2F_SRC_DST, transport,
         collector_name=collector.name, bin_width=10.0,
