@@ -38,7 +38,6 @@ from repro.analysis.storage import store_footprint
 from repro.core.config import FlowtreeConfig
 from repro.core.flowtree import Flowtree
 from repro.core.key import FlowKey
-from repro.core.parallel import ShardWorkerPool
 from repro.core.serialization import from_bytes, size_report, to_bytes
 from repro.core.sharded import ShardedFlowtree
 from repro.devtools.lint.engine import main as _flowlint_main
@@ -92,10 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("--shards", type=int, default=1,
                        help="hash-partition ingestion across N shard trees, "
                             "merged into one summary before writing")
-    build.add_argument("--workers", type=int, default=0,
-                       help="run the shard trees on N worker processes "
-                            "(implies N shards; byte-identical to the "
-                            "in-process sharded path)")
     build.add_argument("input", type=Path)
     build.add_argument("output", type=Path)
 
@@ -201,31 +196,16 @@ def _cmd_build(args: argparse.Namespace) -> int:
     config = FlowtreeConfig(max_nodes=args.max_nodes, policy=args.policy)
     if args.shards < 1:
         raise ValueError(f"--shards must be at least 1, got {args.shards}")
-    if args.workers < 0:
-        raise ValueError(f"--workers must be non-negative, got {args.workers}")
-    if args.workers >= 1 and args.shards > 1 and args.workers != args.shards:
-        raise ValueError(
-            f"--workers {args.workers} conflicts with --shards {args.shards}; "
-            "each worker process owns exactly one shard of the ShardedFlowtree, "
-            "so pass only --workers"
-        )
     if args.input_format == "pcap":
         records = read_pcap(args.input)
     else:
         records = read_csv(args.input)
     via = ""
-    if args.workers >= 1 or args.shards > 1:
-        pool = ShardWorkerPool if args.workers >= 1 else None
-        with ShardedFlowtree(
-            schema, config, num_shards=args.workers or args.shards, pool=pool
-        ) as summarizer:
-            consumed = _ingest(summarizer, records, args.batch_size)
-            tree = summarizer.merged_tree()
-        if pool is None:
-            via = f" via {args.shards} shards"
-        else:
-            plural = "es" if args.workers != 1 else ""
-            via = f" via {args.workers} worker process{plural}"
+    if args.shards > 1:
+        summarizer = ShardedFlowtree(schema, config, num_shards=args.shards)
+        consumed = _ingest(summarizer, records, args.batch_size)
+        tree = summarizer.merged_tree()
+        via = f" via {args.shards} shards"
     else:
         tree = Flowtree(schema, config)
         consumed = _ingest(tree, records, args.batch_size)

@@ -17,7 +17,6 @@ from repro.core.errors import (
     SchemaMismatchError,
     SerializationError,
     TransportError,
-    WorkerError,
 )
 from repro.core.flowtree import Estimate, Flowtree, UpdateStats
 from repro.core.key import FlowKey
@@ -39,10 +38,7 @@ from repro.core.policy import (
     register_policy,
     schema_max_specificity,
 )
-from repro.core.parallel import PendingSummaries, ShardWorkerPool
 from repro.core.serialization import (
-    decode_aggregated_batch,
-    encode_aggregated_batch,
     from_bytes,
     from_json,
     size_report,
@@ -68,8 +64,6 @@ from repro.core.estimator import (
 __all__ = [
     "Flowtree",
     "ShardedFlowtree",
-    "ShardWorkerPool",
-    "PendingSummaries",
     "shard_index",
     "shard_config_for",
     "partition_aggregated",
@@ -91,7 +85,6 @@ __all__ = [
     "QueryError",
     "TransportError",
     "DaemonError",
-    "WorkerError",
     "GeneralizationPolicy",
     "get_policy",
     "available_policies",
@@ -110,8 +103,6 @@ __all__ = [
     "to_json",
     "from_json",
     "size_report",
-    "encode_aggregated_batch",
-    "decode_aggregated_batch",
     "estimate_many",
     "estimate_values",
     "decompose",

@@ -385,10 +385,9 @@ def fold_levels(
     retained representative.
 
     This is a pure function of its arguments (``levels`` and
-    ``root_counters`` are mutated, nothing else is touched), which is what
-    makes the per-shard parallel fold byte-identical to the serial one:
-    a worker process folding the same flattened levels takes exactly the
-    same victim-selection and fold steps.
+    ``root_counters`` are mutated, nothing else is touched): the same
+    flattened levels always take exactly the same victim-selection and
+    fold steps.
     """
     budget = max(0, target_nodes - 1)   # the root is kept implicitly
     maskers = tuple(spec.feature_type.mask_raw for spec in schema.fields)

@@ -36,10 +36,6 @@ class TransportError(FlowtreeError):
     """A simulated transport operation failed (unknown site, closed channel, ...)."""
 
 
-class WorkerError(FlowtreeError):
-    """A parallel-ingestion worker process failed beyond recovery."""
-
-
 class DaemonError(FlowtreeError):
     """A distributed daemon/collector operation failed."""
 

@@ -16,16 +16,15 @@ every shard, the merged tree is schema- and policy-compatible with any
 unsharded summary.  This is the single-process counterpart of the paper's
 collector merging per-site summaries.
 
-Where the shards live is one constructor argument: by default they are
-in-process trees; with ``pool=ShardWorkerPool`` each shard is owned by a
-worker process (:mod:`repro.core.parallel`) and the same partition step
-feeds it, so both placements produce byte-identical shard trees.
+The shards all live in this process.  Parallelism across processes is
+the paper's own unit, one daemon per site (Fig. 1), not a split of one
+site's stream.
 """
 
 from __future__ import annotations
 
 import zlib
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.config import FlowtreeConfig
 from repro.core.errors import ConfigurationError
@@ -33,9 +32,6 @@ from repro.core.flowtree import Estimate, Flowtree, RecordIngest, preaggregate_r
 from repro.core.key import FlowKey
 from repro.core.node import Counters
 from repro.features.schema import FlowSchema
-
-if TYPE_CHECKING:  # pragma: no cover - the pool is passed in, never imported
-    from repro.core.parallel import ShardWorkerPool
 
 #: Shards used when the caller does not specify a count.
 DEFAULT_NUM_SHARDS = 4
@@ -103,10 +99,7 @@ def partition_aggregated(
 
     Returns ``(per_shard_items, per_shard_record_counts)``: for every shard
     the ``(key, packets, bytes, flows)`` tuples it must fold (in first-seen
-    order) and how many raw records those tuples summarize.  Shards fold
-    exactly these slices wherever they live, which is what makes in-process
-    and worker-process shards byte-identical — they cannot disagree on
-    placement or on the per-shard fold order.
+    order) and how many raw records those tuples summarize.
     """
     pending = preaggregate_records(chunk, schema.signature_of, count_bytes)
     per_shard: List[List[Tuple[FlowKey, int, int, int]]] = [[] for _ in range(num_shards)]
@@ -129,25 +122,12 @@ class ShardedFlowtree(RecordIngest):
             minimum viable 16 nodes, so very small budgets with many shards
             may slightly overshoot the total).
         num_shards: how many partitions to maintain.
-        pool: where the shards live.  ``None`` (default) keeps them as
-            trees in this process.  Pass
-            :class:`~repro.core.parallel.ShardWorkerPool` (or a
-            ``functools.partial`` of it carrying ``start_method`` /
-            ``faults``) to give every shard its own worker process; it is
-            called as ``pool(schema, shard_config, num_shards)``.  Queries
-            then run on replicas pulled back from the workers (cached
-            until the next submission), and :meth:`close` — or leaving the
-            ``with`` block — shuts the workers down.
 
     Example::
 
         sharded = ShardedFlowtree(SCHEMA_4F, FlowtreeConfig(max_nodes=40_000), num_shards=8)
         sharded.add_batch(trace)
         tree = sharded.merged_tree()   # ordinary Flowtree, full budget
-
-        with ShardedFlowtree(SCHEMA_4F, config, num_shards=4, pool=ShardWorkerPool) as sharded:
-            sharded.add_batch(trace)
-            tree = sharded.merged_tree()   # byte-identical to the in-process shards
     """
 
     def __init__(
@@ -155,7 +135,6 @@ class ShardedFlowtree(RecordIngest):
         schema: FlowSchema,
         config: Optional[FlowtreeConfig] = None,
         num_shards: int = DEFAULT_NUM_SHARDS,
-        pool: Optional[Callable[[FlowSchema, FlowtreeConfig, int], "ShardWorkerPool"]] = None,
     ) -> None:
         if num_shards < 1:
             raise ConfigurationError(f"num_shards must be at least 1, got {num_shards}")
@@ -163,73 +142,14 @@ class ShardedFlowtree(RecordIngest):
         self._config = config or FlowtreeConfig()
         self._num_shards = num_shards
         shard_config = shard_config_for(self._config, num_shards)
-        self._pool = self._shards = None
-        if pool is None:
-            self._shards = tuple(Flowtree(schema, shard_config) for _ in range(num_shards))
-        else:
-            self._pool = pool(schema, shard_config, num_shards)
+        self._shards = tuple(Flowtree(schema, shard_config) for _ in range(num_shards))
         self._records_ingested = 0
-
-    @classmethod
-    def from_shard_trees(
-        cls,
-        schema: FlowSchema,
-        config: Optional[FlowtreeConfig],
-        trees: Sequence[Flowtree],
-        records_ingested: int = 0,
-    ) -> "ShardedFlowtree":
-        """Wrap already-built shard trees (e.g. decoded worker summaries).
-
-        The trees must have been partitioned by :func:`shard_index` over
-        ``len(trees)`` shards for queries to be meaningful; this is how the
-        daemon turns the per-worker summaries of a closed bin into one
-        merged tree.
-        """
-        if not trees:
-            raise ConfigurationError("from_shard_trees needs at least one shard tree")
-        # Runs on every pipelined bin finalize, so skip __init__ rather than
-        # build len(trees) empty shard trees only to discard them.
-        view = cls.__new__(cls)
-        view._schema = schema
-        view._config = config or FlowtreeConfig()
-        view._num_shards = len(trees)
-        view._pool = None
-        view._shards = tuple(trees)
-        view._records_ingested = records_ingested
-        return view
-
-    # -- where the shards live -------------------------------------------------
 
     def _apply(
         self, index: int, items: List[Tuple[FlowKey, int, int, int]], record_count: int
     ) -> None:
         """Fold one partitioned sub-batch into shard ``index``."""
-        if self._pool is None:
-            self._shards[index].add_aggregated(items, record_count=record_count)
-        else:
-            self._pool.submit(index, items, record_count)
-
-    def _trees(self) -> Tuple[Flowtree, ...]:
-        """The shard trees to read from (worker shards: cached replicas)."""
-        if self._pool is None:
-            return self._shards
-        return self._pool.shard_trees()
-
-    @property
-    def pool(self) -> Optional["ShardWorkerPool"]:
-        """The worker pool owning the shards (``None`` when in-process)."""
-        return self._pool
-
-    def close(self) -> None:
-        """Shut the worker pool down, if any (idempotent)."""
-        if self._pool is not None:
-            self._pool.close()
-
-    def __enter__(self) -> "ShardedFlowtree":
-        return self
-
-    def __exit__(self, exc_type, exc_value, traceback) -> None:
-        self.close()
+        self._shards[index].add_aggregated(items, record_count=record_count)
 
     # -- basic properties -----------------------------------------------------
 
@@ -251,10 +171,10 @@ class ShardedFlowtree(RecordIngest):
     @property
     def shards(self) -> Tuple[Flowtree, ...]:
         """The per-shard Flowtrees (read-only view; each is a normal tree)."""
-        return self._trees()
+        return self._shards
 
     def __len__(self) -> int:
-        return sum(len(shard) for shard in self._trees())
+        return sum(len(shard) for shard in self._shards)
 
     def node_count(self) -> int:
         """Total kept nodes across all shards (each shard has its own root)."""
@@ -269,8 +189,8 @@ class ShardedFlowtree(RecordIngest):
     def add(self, key: FlowKey, packets: int = 1, bytes: int = 0, flows: int = 1) -> None:
         """Charge counters to ``key`` in its shard (a one-item sub-batch).
 
-        With worker-process shards every call crosses the process boundary;
-        batch wherever per-record semantics are not required.
+        Per-record sharded ingest is a one-item ``_apply`` (about 10 % slower
+        than :meth:`Flowtree.add`); use :meth:`add_batch` for streams.
         """
         self._apply(self.shard_for_key(key), [(key, packets, bytes, flows)], 1)
         self._records_ingested += 1
@@ -292,7 +212,7 @@ class ShardedFlowtree(RecordIngest):
     def total_counters(self) -> Counters:
         """Total traffic summarized across all shards."""
         total = Counters()
-        for shard in self._trees():
+        for shard in self._shards:
             total.add(shard.total_counters())
         return total
 
@@ -302,7 +222,7 @@ class ShardedFlowtree(RecordIngest):
         Shard roots all carry the same all-wildcard key; callers that need
         one coherent tree should use :meth:`merged_tree` instead.
         """
-        for shard in self._trees():
+        for shard in self._shards:
             yield from shard.items()
 
     def estimate(self, key: FlowKey) -> Estimate:
@@ -315,7 +235,7 @@ class ShardedFlowtree(RecordIngest):
         :meth:`merged_tree` once and query that.
         """
         return _combine_shard_estimates(
-            key, [shard.estimate(key) for shard in self._trees()]
+            key, [shard.estimate(key) for shard in self._shards]
         )
 
     def estimate_many(self, keys: Iterable[FlowKey]) -> Dict[FlowKey, Estimate]:
@@ -330,7 +250,7 @@ class ShardedFlowtree(RecordIngest):
         from repro.core.estimator import estimate_many as _estimate_many
 
         keys = list(keys)
-        per_shard = [_estimate_many(shard, keys) for shard in self._trees()]
+        per_shard = [_estimate_many(shard, keys) for shard in self._shards]
         return {
             key: _combine_shard_estimates(
                 key, [answers[key] for answers in per_shard]
@@ -345,23 +265,19 @@ class ShardedFlowtree(RecordIngest):
         ``config`` overrides it, so merging re-enforces the total budget.
         """
         result = Flowtree(self._schema, config or self._config)
-        for shard in self._trees():
+        for shard in self._shards:
             result.merge(shard)
         return result
 
     # -- maintenance ------------------------------------------------------------
 
     def compact(self) -> int:
-        """Compact every (in-process) shard to its target size; returns nodes removed."""
-        if self._pool is not None:
-            raise ConfigurationError(
-                "compact() needs in-process shards; these live in worker processes"
-            )
+        """Compact every shard to its target size; returns nodes removed."""
         return sum(shard.compact() for shard in self._shards)
 
     def validate(self) -> None:
         """Validate the structural invariants of every shard."""
-        for shard in self._trees():
+        for shard in self._shards:
             shard.validate()
 
     @property
@@ -370,8 +286,7 @@ class ShardedFlowtree(RecordIngest):
 
         ``add``/``add_record``/``add_records``/``add_batch`` all advance
         this by exactly the count they return, so benchmarks and the daemon
-        can compare ingestion paths on one number.  Cumulative: a pool's
-        summarize-and-reset (the daemon's bin rollover) does not rewind it.
+        can compare ingestion paths on one number.
         """
         return self._records_ingested
 
@@ -380,27 +295,18 @@ class ShardedFlowtree(RecordIngest):
 
         The per-shard :class:`~repro.core.flowtree.UpdateStats` counters and
         node counts are summed, and the structure-level numbers (``shards``,
-        ``records_ingested``) ride along — the same keys wherever the shards
-        live, so reports compare row for row.  Worker-process shards add the
-        pool's own counters (``workers``, ``batches_submitted``,
-        ``worker_restarts``, ``journal_entries``, ...).
+        ``records_ingested``) ride along.
         """
-        if self._pool is None:
-            per_shard = [dict(shard.stats.snapshot(), nodes=len(shard)) for shard in self._shards]
-            totals: Dict[str, int] = {}
-        else:
-            per_shard = self._pool.shard_stats()
-            totals = self._pool.stats()
-        for snapshot in per_shard:
-            for name, value in snapshot.items():
+        totals: Dict[str, int] = {}
+        for shard in self._shards:
+            for name, value in dict(shard.stats.snapshot(), nodes=len(shard)).items():
                 totals[name] = totals.get(name, 0) + value
         totals["shards"] = self._num_shards
         totals["records_ingested"] = self._records_ingested
         return totals
 
     def __repr__(self) -> str:
-        where = f"nodes={self.node_count()}" if self._pool is None else repr(self._pool)
         return (
             f"ShardedFlowtree(schema={self._schema.name!r}, shards={self._num_shards}, "
-            f"{where})"
+            f"nodes={self.node_count()})"
         )

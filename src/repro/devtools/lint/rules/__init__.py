@@ -13,7 +13,6 @@ from repro.devtools.lint.rules import (  # noqa: F401  (registration side effect
     fault_reporting,
     fold_determinism,
     lock_discipline,
-    picklability,
     thread_confinement,
     wire_format,
 )

@@ -6,7 +6,7 @@ A bare ``except:`` (which also catches ``KeyboardInterrupt`` and
 neither re-raises, nor uses the bound exception (logging it, wrapping it,
 recording it for a later re-raise), nor reports through a
 logging/printing call.  Swallowed broad exceptions are how bookkeeping
-bugs — a failed store commit, a dead worker — degrade results silently
+bugs — a failed store commit, a dead collector — degrade results silently
 instead of failing loudly.
 
 Sites that genuinely must swallow (``__del__`` during interpreter

@@ -6,8 +6,7 @@ overflow folds the same victims, reopening a store replays the same state.
 ``set`` iteration order is not deterministic across processes (string
 hashing is randomized per interpreter), so a ``for`` loop over a set —
 or a list/comprehension built from one — inside those modules silently
-breaks byte-identity between runs and between the in-process and
-worker-process execution paths.
+breaks byte-identity between runs.
 
 The rule tracks locals bound to set expressions (literals, comprehensions,
 ``set()``/``frozenset()`` calls) within a scope and flags loops and

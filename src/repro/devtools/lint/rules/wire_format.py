@@ -1,10 +1,10 @@
 """wire-format: encoder/decoder bodies are pinned to ``FORMAT_VERSION``.
 
 A Flowtree summary written today must decode on every other site tomorrow.
-The binary formats (``FTRE`` summaries, ``FTAB`` sub-batches) therefore may
-only change together with their version constants — a silent edit to an
-encode/decode body produces payloads that older/newer peers misparse with
-no error at the boundary.
+The binary ``FTRE`` summary format therefore may only change together
+with its version constant — a silent edit to an encode/decode body
+produces payloads that older/newer peers misparse with no error at the
+boundary.
 
 Enforcement: ``wire_manifest.json`` (next to this package) pins an AST
 fingerprint of every wire-relevant function in ``core/serialization.py``
@@ -36,31 +36,20 @@ from repro.devtools.lint.engine import FileContext, Finding, Rule, register
 MANIFEST_FORMAT = "flowlint-wire-manifest"
 MANIFEST_VERSION = 1
 
-#: Functions pinned per version constant.  The varint/string primitives are
-#: shared by both formats, so they appear in (and a change to them bumps)
-#: both groups.
-_SHARED_PRIMITIVES = (
-    "encode_varint",
-    "decode_varint",
-    "encode_zigzag",
-    "decode_zigzag",
-    "_encode_string",
-    "_decode_string",
-)
+#: Functions pinned per version constant: the FTRE encoder/decoder and
+#: the varint/string primitives they are built from.
 PINNED_FUNCTIONS: Dict[str, tuple] = {
-    "FORMAT_VERSION": ("to_bytes", "summary_header", "from_bytes") + _SHARED_PRIMITIVES,
-    "BATCH_FORMAT_VERSION": (
-        "encode_aggregated_batch",
-        "decode_aggregated_batch",
-        # Sub-batch section layouts: the per-entry varint
-        # fallback, the fixed-width struct path, and the schema -> layout
-        # derivation that both ends compute independently.
-        "_encode_varint_entry",
-        "_decode_varint_entry",
-        "_fixed_entry_values",
-        "_decode_fixed_section",
-        "_fixed_codec_for_types",
-    ) + _SHARED_PRIMITIVES,
+    "FORMAT_VERSION": (
+        "to_bytes",
+        "summary_header",
+        "from_bytes",
+        "encode_varint",
+        "decode_varint",
+        "encode_zigzag",
+        "decode_zigzag",
+        "_encode_string",
+        "_decode_string",
+    ),
 }
 
 _REGEN_HINT = "python -m repro.devtools.lint --update-wire-manifest"

@@ -21,7 +21,6 @@ from repro.distributed.faults import (
     FAULT_FRAME_DUPLICATE,
     FAULT_STORE_COMMIT,
     FAULT_STORE_TORN_WRITE,
-    FAULT_WORKER_CRASH,
     FaultPlan,
 )
 from repro.distributed.diffsync import (
@@ -102,7 +101,6 @@ __all__ = [
     "FAULT_STORE_COMMIT",
     "FAULT_STORE_TORN_WRITE",
     "FAULT_COLLECTOR_KILL",
-    "FAULT_WORKER_CRASH",
     "GatherResult",
     "Supervisor",
     "SupervisorConfig",

@@ -24,9 +24,6 @@ seam name                 where it fires
 ``collector.kill``              :meth:`Collector.ingest` marks the collector dead
                                 and raises
                                 :class:`~repro.core.errors.CollectorUnavailableError`
-``parallel.worker-crash``       :class:`~repro.core.parallel.ShardWorkerPool`
-                                SIGKILL-kills the shard's worker process before
-                                submitting the batch
 ========================  =========================================================
 
 Every component takes ``faults=None`` by default; the only cost of a
@@ -61,7 +58,6 @@ __all__ = [
     "FAULT_STORE_COMMIT",
     "FAULT_STORE_TORN_WRITE",
     "FAULT_COLLECTOR_KILL",
-    "FAULT_WORKER_CRASH",
 ]
 
 FAULT_FRAME_DROP = "net.client.frame-drop"
@@ -71,9 +67,6 @@ FAULT_FRAME_DELAY = "net.client.frame-delay"
 FAULT_STORE_COMMIT = "store.commit-fail"
 FAULT_STORE_TORN_WRITE = "store.torn-write"
 FAULT_COLLECTOR_KILL = "collector.kill"
-#: Mirrored as a literal in :mod:`repro.core.parallel`, which sits below
-#: the distributed layer and must not import it.
-FAULT_WORKER_CRASH = "parallel.worker-crash"
 
 
 @dataclass

@@ -115,21 +115,26 @@ class Deployment:
         query_timeout: Optional[float] = None,
         on_unavailable: str = "raise",
     ) -> None:
-        """``daemon_workers > 0`` gives every site's daemon that many shard
-        worker processes (pipelined bin export); ``0`` keeps the daemons
-        single-process.  Worker deployments should be :meth:`close`\\ d (or
-        used as a context manager) so the processes are reaped.
+        """``daemon_workers`` must be ``0``: every daemon is one in-process
+        summarizer, and sites are the unit of parallelism.  The parameter
+        remains only because the flowbench adapter
+        (``benchmarks/e2e/layers.py``) passes it; removing it is a later
+        change to that adapter.
         ``collector_config`` selects the collectors' storage backend and
         retention (its ``bin_width`` must match the deployment's).
         ``transport`` selects the network (``"memory"`` or ``"tcp"``),
         ``collectors`` how many collectors sites are partitioned across,
         and ``net`` the TCP knobs (ports, backpressure, backoff).
         ``faults`` wires one :class:`FaultPlan` into every injection seam
-        (clients, collectors, stores, daemon worker pools) at once;
+        (clients, collectors, stores) at once;
         ``query_timeout`` / ``on_unavailable`` configure the query
         engine's gather budget and degradation policy."""
         if not site_names:
             raise DaemonError("a deployment needs at least one site")
+        if daemon_workers != 0:
+            raise DaemonError(
+                f"daemon_workers must be 0 (one process per site daemon), got {daemon_workers}"
+            )
         if transport not in TRANSPORT_KINDS:
             raise DaemonError(
                 f"transport must be one of {TRANSPORT_KINDS}, got {transport!r}"
@@ -220,8 +225,6 @@ class Deployment:
                 bin_width=bin_width,
                 config=daemon_config,
                 use_diffs=use_diffs,
-                workers=daemon_workers,
-                faults=faults,
             )
             self._sites[name] = MonitoringSite(name=name, daemon=daemon)
         self._engine = DistributedQueryEngine(
@@ -382,10 +385,6 @@ class Deployment:
     def alerts(self) -> List[Alert]:
         """All alerts raised during the replay."""
         return self._alerts.alerts
-
-    def worker_stats(self) -> Dict[str, Dict[str, int]]:
-        """Per-site executor stats (empty dicts for single-process daemons)."""
-        return {name: self.daemon(name).worker_stats() for name in self.site_names}
 
     def close(self) -> None:
         """Flush daemons, drain clients, poll and close collectors (idempotent).

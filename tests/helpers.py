@@ -12,11 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from unittest import mock
 
-import pytest
-
 from repro.core import compaction
 from repro.core.key import FlowKey
-from repro.core.parallel import ShardWorkerPool
 from repro.features.ipaddr import ipv4_to_int
 from repro.features.schema import SCHEMA_2F_SRC_DST, SCHEMA_4F
 
@@ -91,8 +88,7 @@ __all__ = [
 def force_rebuild():
     """Patch the one strategy threshold so any compaction excess rebuilds.
 
-    Usable as a context manager or a decorator.  Worker processes forked
-    while the patch is active inherit it.
+    Usable as a context manager or a decorator.
     """
     return mock.patch.object(compaction, "REBUILD_OVERSHOOT", 0)
 
@@ -100,9 +96,3 @@ def force_rebuild():
 def force_incremental():
     """Patch the one strategy threshold so the bulk rebuild never runs."""
     return mock.patch.object(compaction, "REBUILD_OVERSHOOT", float("inf"))
-
-
-#: Runs a sharded test once per shard placement (``ShardedFlowtree(pool=...)``).
-PLACEMENTS = pytest.mark.parametrize(
-    "pool", [None, ShardWorkerPool], ids=["in-process", "worker-processes"]
-)

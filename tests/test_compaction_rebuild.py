@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import PLACEMENTS, SimpleRecord, force_incremental, force_rebuild, make_record
+from helpers import SimpleRecord, force_incremental, force_rebuild, make_record
 
 from repro.core import Flowtree, FlowtreeConfig, ShardedFlowtree, to_bytes
 from repro.core.compaction import rebuild_pays_off
@@ -314,21 +314,15 @@ class TestStrategyEquivalence:
         assert len(tree) <= 64
 
     @force_rebuild()
-    @PLACEMENTS
-    def test_sharded_rebuild_is_merge_consistent_wherever_shards_live(
-        self, pool, packet_stream_small
-    ):
+    def test_sharded_rebuild_is_merge_consistent(self, packet_stream_small):
         config = FlowtreeConfig(max_nodes=128)
-        reference = ShardedFlowtree(SCHEMA_4F, config, num_shards=2)
-        reference.add_batch(packet_stream_small, batch_size=512)
-        assert reference.stats_snapshot()["rebuilds"] >= 1
-        with ShardedFlowtree(SCHEMA_4F, config, num_shards=2, pool=pool) as sharded:
-            sharded.add_batch(packet_stream_small, batch_size=512)
-            sharded.validate()
-            merged = sharded.merged_tree()
-            assert merged.total_counters() == sharded.total_counters()
-            assert len(merged) <= config.max_nodes
-            assert to_bytes(merged) == to_bytes(reference.merged_tree())
+        sharded = ShardedFlowtree(SCHEMA_4F, config, num_shards=2)
+        sharded.add_batch(packet_stream_small, batch_size=512)
+        assert sharded.stats_snapshot()["rebuilds"] >= 1
+        sharded.validate()
+        merged = sharded.merged_tree()
+        assert merged.total_counters() == sharded.total_counters()
+        assert len(merged) <= config.max_nodes
 
 
 def _distinct_records(count):

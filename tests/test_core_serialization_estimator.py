@@ -1,5 +1,7 @@
 """Tests for summary serialization and the query-helper layer."""
 
+import struct
+
 import pytest
 
 from helpers import key2, key4, make_record
@@ -15,7 +17,10 @@ from repro.core.estimator import (
 )
 from repro.core.flowtree import Flowtree
 from repro.core.key import FlowKey
+from repro.core.policy import available_policies
 from repro.core.serialization import (
+    FORMAT_VERSION,
+    MAGIC,
     decode_varint,
     decode_zigzag,
     encode_varint,
@@ -23,10 +28,16 @@ from repro.core.serialization import (
     from_bytes,
     from_json,
     size_report,
+    summary_header,
     to_bytes,
     to_json,
 )
-from repro.features.schema import SCHEMA_2F_SRC_DST, SCHEMA_4F
+from repro.features.schema import (
+    SCHEMA_1F_SRC,
+    SCHEMA_2F_SRC_DST,
+    SCHEMA_4F,
+    SCHEMA_5F,
+)
 
 
 class TestVarints:
@@ -107,6 +118,107 @@ class TestBinaryFormat:
         assert set(report) == {"nodes", "binary_bytes", "binary_compressed_bytes", "json_bytes"}
         assert report["nodes"] == len(tree)
         assert report["binary_compressed_bytes"] <= report["binary_bytes"]
+
+
+def _with_version(payload, version):
+    """``payload`` with its header's format-version byte replaced."""
+    return payload[: len(MAGIC)] + bytes([version]) + payload[len(MAGIC) + 1:]
+
+
+class TestBinaryFormatContract:
+    """The FTRE header and body rules every stored or shipped summary obeys."""
+
+    @pytest.fixture
+    def tree(self, packet_stream_small):
+        tree = Flowtree(SCHEMA_4F, FlowtreeConfig(max_nodes=200))
+        tree.add_records(packet_stream_small[:1_500])
+        return tree
+
+    @pytest.mark.parametrize(
+        "schema",
+        [SCHEMA_1F_SRC, SCHEMA_2F_SRC_DST, SCHEMA_4F, SCHEMA_5F],
+        ids=lambda schema: schema.name,
+    )
+    def test_every_builtin_schema_round_trips_byte_identically(
+        self, schema, packet_stream_small
+    ):
+        tree = Flowtree(schema, FlowtreeConfig(max_nodes=120))
+        tree.add_records(packet_stream_small[:800])
+        payload = to_bytes(tree)
+        decoded = from_bytes(payload)
+        decoded.validate()
+        assert decoded.schema == schema
+        assert decoded.total_counters() == tree.total_counters()
+        assert to_bytes(decoded) == payload
+
+    @pytest.mark.parametrize("policy", available_policies())
+    def test_every_policy_survives_round_trip(self, policy, packet_stream_small):
+        tree = Flowtree(SCHEMA_4F, FlowtreeConfig(max_nodes=150, policy=policy))
+        tree.add_records(packet_stream_small[:800])
+        decoded = from_bytes(to_bytes(tree))
+        assert decoded.config.policy == policy
+        assert decoded.config.max_nodes == 150
+        assert dict(decoded.items()) == dict(tree.items())
+
+    def test_new_payloads_carry_the_current_version(self, tree):
+        payload = to_bytes(tree)
+        assert payload[: len(MAGIC)] == MAGIC
+        assert FORMAT_VERSION == 2
+        assert payload[len(MAGIC)] == FORMAT_VERSION
+
+    @pytest.mark.parametrize("version", [0, 1, 3, 255])
+    def test_other_versions_rejected(self, tree, version):
+        payload = _with_version(to_bytes(tree), version)
+        with pytest.raises(SerializationError, match="version"):
+            from_bytes(payload)
+        with pytest.raises(SerializationError, match="version"):
+            summary_header(payload)
+
+    def test_trailing_bytes_rejected(self, tree):
+        with pytest.raises(SerializationError, match="truncated"):
+            from_bytes(to_bytes(tree) + b"\x00")
+
+    @pytest.mark.parametrize("compress", [True, False])
+    def test_header_describes_the_body(self, tree, compress):
+        payload = to_bytes(tree, compress=compress)
+        header = summary_header(payload)
+        assert header == {
+            "version": FORMAT_VERSION,
+            "compressed": int(compress),
+            "body_bytes": len(payload) - len(MAGIC) - 6,
+        }
+        assert struct.unpack(">I", payload[len(MAGIC) + 2: len(MAGIC) + 6])[0] == (
+            header["body_bytes"]
+        )
+
+    @pytest.mark.parametrize("payload", [b"", b"FTRE", b"NOPE" + b"\x00" * 16])
+    def test_header_rejects_non_summaries(self, payload):
+        with pytest.raises(SerializationError):
+            summary_header(payload)
+
+    def test_header_rejects_torn_body(self, tree):
+        with pytest.raises(SerializationError, match="truncated"):
+            summary_header(to_bytes(tree)[:-1])
+
+    def test_encoding_is_independent_of_insertion_order(self):
+        keys = [
+            key2("10.0.0.1", "192.0.2.1"),
+            key2("10.0.0.2", "192.0.2.1"),
+            key2("10.0.1.7", "192.0.2.9"),
+        ]
+        forward = Flowtree(SCHEMA_2F_SRC_DST)
+        backward = Flowtree(SCHEMA_2F_SRC_DST)
+        for packets, key in enumerate(keys, start=1):
+            forward.add(key, packets=packets)
+        for packets, key in reversed(list(enumerate(keys, start=1))):
+            backward.add(key, packets=packets)
+        assert to_bytes(forward) == to_bytes(backward)
+
+    def test_json_and_binary_decode_to_the_same_tree(self, tree):
+        from_binary = from_bytes(to_bytes(tree))
+        from_text = from_json(to_json(tree))
+        assert to_bytes(from_binary) == to_bytes(from_text)
+        assert from_text.config.max_nodes == tree.config.max_nodes
 
 
 class TestJsonFormat:

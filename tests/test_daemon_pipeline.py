@@ -1,18 +1,23 @@
-"""Pipelined daemon: bin policy and export equivalence across worker modes.
+"""Per-site daemon: bin policy, export path and lifecycle.
 
-``FlowtreeDaemon(workers=N)`` overlaps bin N+1 ingestion with bin N
-folding, but its observable behaviour is pinned to the single-process
-daemon: the same bins, in the same order, with byte-identical
-``SummaryMessage`` payloads (compaction disabled), the same late-record
-accounting, and the same record counts — crash or no crash.
+Every bin of a :class:`FlowtreeDaemon` is one in-process Flowtree and
+:meth:`~FlowtreeDaemon.flush` is the only export path.  These tests pin
+the bin policy (late records, empty bins), the equivalence of the
+per-record and batched ingest paths, and the flush/close lifecycle.
 """
 
 import pytest
 
 from helpers import make_timed_record
 
-from repro.core import FlowtreeConfig
-from repro.distributed import Deployment, FlowtreeDaemon, SimulatedTransport
+from repro.core import DaemonError, FlowtreeConfig
+from repro.distributed import (
+    DiffSyncDecoder,
+    Deployment,
+    FlowtreeDaemon,
+    SimulatedTransport,
+)
+from repro.distributed.messages import SUMMARY_DIFF, SUMMARY_FULL
 from repro.features.schema import SCHEMA_4F
 
 UNBOUNDED = FlowtreeConfig(max_nodes=None)
@@ -38,57 +43,52 @@ def _timed_stream(count=1200, late_every=173, bin_span=5.0):
     return records
 
 
-def _run_daemon(records, workers, batch_size=64, use_diffs=True, full_every=3,
-                crash_worker=None, crash_at=None, config=UNBOUNDED):
+def _steady_stream(bins=10, flows=40, bin_span=5.0):
+    """The same flows in every bin, one packet more each bin: diffs win."""
+    return [
+        make_timed_record(
+            bin_index * bin_span + 0.1 * (flow + 1),
+            src=f"10.0.{flow % 4}.{1 + flow}",
+            dst="198.51.100.7",
+            sport=2000 + flow,
+            dport=443,
+            packets=1 + bin_index,
+        )
+        for bin_index in range(bins)
+        for flow in range(flows)
+    ]
+
+
+def _daemon(transport, config=UNBOUNDED, full_every=3):
+    return FlowtreeDaemon(site="s", schema=SCHEMA_4F, transport=transport,
+                          bin_width=5.0, config=config, full_every=full_every)
+
+
+def _run_daemon(records, batch_size=64, **daemon_options):
     transport = SimulatedTransport()
-    daemon = FlowtreeDaemon(
-        site="s", schema=SCHEMA_4F, transport=transport, bin_width=5.0,
-        config=config, use_diffs=use_diffs, full_every=full_every, workers=workers,
-    )
-    try:
-        if crash_at is None:
-            daemon.consume_records(records, batch_size=batch_size)
-        else:
-            daemon.consume_records(records[:crash_at], batch_size=batch_size)
-            daemon.current_tree.pool.inject_worker_failure(crash_worker)
-            daemon.consume_records(records[crash_at:], batch_size=batch_size)
-        flushed = daemon.flush()
-        stats = daemon.stats
-        worker_stats = daemon.worker_stats()
-    finally:
-        daemon.close()
+    daemon = _daemon(transport, **daemon_options)
+    daemon.consume_records(records, batch_size=batch_size)
+    flushed = daemon.flush()
+    daemon.close()
     messages = [message for _, message in transport.receive("collector")]
-    return messages, stats, flushed, worker_stats
+    return messages, daemon.stats, flushed
 
 
-class TestPipelineEquivalence:
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_summary_messages_identical_to_single_process(self, workers):
+class TestBinPolicy:
+    def test_stream_exports_every_bin(self):
         records = _timed_stream()
-        baseline_messages, baseline_stats, _, _ = _run_daemon(records, workers=0)
-        messages, stats, _, worker_stats = _run_daemon(records, workers=workers)
-
-        assert [m.payload for m in messages] == [m.payload for m in baseline_messages]
-        assert [(m.bin_index, m.kind, m.bin_start, m.bin_end, m.record_count)
-                for m in messages] == \
-               [(m.bin_index, m.kind, m.bin_start, m.bin_end, m.record_count)
-                for m in baseline_messages]
-        assert stats.records_consumed == baseline_stats.records_consumed == len(records)
-        assert stats.bins_exported == baseline_stats.bins_exported > 3
-        assert stats.late_records == baseline_stats.late_records > 0
-        assert stats.exported_bytes == baseline_stats.exported_bytes
-        # The full-vs-diff choice is made on identical trees, so it agrees.
-        assert stats.full_summaries == baseline_stats.full_summaries
-        assert stats.diff_summaries == baseline_stats.diff_summaries
-        # Every bin went through the asynchronous export path.
-        assert stats.pipelined_exports == stats.bins_exported
-        assert worker_stats["workers"] == workers
-        assert worker_stats["records_ingested"] == len(records)
+        messages, stats, _ = _run_daemon(records)
+        assert stats.records_consumed == len(records)
+        assert sum(m.record_count for m in messages) == len(records)
+        assert stats.bins_exported == len(messages) > 3
+        assert stats.late_records > 0
+        assert stats.full_summaries + stats.diff_summaries == stats.bins_exported
+        assert stats.exported_bytes == sum(len(m.payload) for m in messages)
 
     def test_per_record_path_matches_batched(self):
         records = _timed_stream(count=400)
-        batched, batched_stats, _, _ = _run_daemon(records, workers=2, batch_size=64)
-        per_record, record_stats, _, _ = _run_daemon(records, workers=2, batch_size=None)
+        batched, batched_stats, _ = _run_daemon(records, batch_size=64)
+        per_record, record_stats, _ = _run_daemon(records, batch_size=None)
         assert [m.payload for m in per_record] == [m.payload for m in batched]
         assert record_stats.late_records == batched_stats.late_records
         assert record_stats.bins_exported == batched_stats.bins_exported
@@ -102,39 +102,84 @@ class TestPipelineEquivalence:
             make_timed_record(1.0, sport=2003),
             make_timed_record(7.0, sport=2004),
         ]
-        for workers in (0, 2):
-            messages, stats, _, _ = _run_daemon(records, workers=workers, batch_size=2)
-            assert stats.late_records == 1
-            assert [m.bin_index for m in messages] == [0, 1]
-            assert [m.record_count for m in messages] == [1, 3]
+        messages, stats, _ = _run_daemon(records, batch_size=2)
+        assert stats.late_records == 1
+        assert [m.bin_index for m in messages] == [0, 1]
+        assert [m.record_count for m in messages] == [1, 3]
 
     def test_bin_advancement_skips_empty_bins(self):
         records = [make_timed_record(0.1), make_timed_record(31.0), make_timed_record(32.0)]
-        for workers in (0, 2):
-            messages, _, _, _ = _run_daemon(records, workers=workers)
-            assert [m.bin_index for m in messages] == [0, 6]
-            assert [m.record_count for m in messages] == [1, 2]
+        messages, _, _ = _run_daemon(records)
+        assert [m.bin_index for m in messages] == [0, 6]
+        assert [m.record_count for m in messages] == [1, 2]
+
+
+    @pytest.mark.parametrize("batch_size", [1, 7, 64, 5000])
+    def test_batch_size_does_not_change_exports(self, batch_size):
+        records = _timed_stream(count=500)
+        reference, _, _ = _run_daemon(records, batch_size=None)
+        messages, stats, _ = _run_daemon(records, batch_size=batch_size)
+        assert [m.payload for m in messages] == [m.payload for m in reference]
+        assert [m.record_count for m in messages] == [m.record_count for m in reference]
+        assert stats.records_consumed == len(records)
+
+    @pytest.mark.parametrize("full_every", [1, 2, 3])
+    def test_full_every_bounds_the_diff_chain(self, full_every):
+        messages, stats, _ = _run_daemon(_steady_stream(), full_every=full_every)
+        kinds = [m.kind for m in messages]
+        assert kinds[0] == SUMMARY_FULL
+        assert SUMMARY_DIFF in kinds
+        run = 0
+        for kind in kinds:
+            run = run + 1 if kind == SUMMARY_DIFF else 0
+            assert run <= full_every
+        assert stats.full_summaries == kinds.count(SUMMARY_FULL)
+        assert stats.diff_summaries == kinds.count(SUMMARY_DIFF)
+
+    def test_decoded_bins_carry_every_record(self):
+        records = _timed_stream(count=900)
+        messages, _, _ = _run_daemon(records)
+        decoder = DiffSyncDecoder()
+        flows = 0
+        for message in messages:
+            tree = decoder.decode(message)
+            tree.validate()
+            assert tree.total_counters().flows == message.record_count
+            flows += message.record_count
+        assert flows == len(records)
+
+    def test_bounded_bins_respect_the_node_budget(self):
+        config = FlowtreeConfig(max_nodes=40)
+        messages, _, _ = _run_daemon(_timed_stream(), config=config)
+        decoder = DiffSyncDecoder()
+        for message in messages:
+            tree = decoder.decode(message)
+            assert tree.config.max_nodes == 40
+            assert len(tree) <= 40
+
+    @pytest.mark.parametrize("bin_width", [0.0, -5.0])
+    def test_non_positive_bin_width_rejected(self, bin_width):
+        with pytest.raises(DaemonError, match="bin_width"):
+            FlowtreeDaemon(site="s", schema=SCHEMA_4F, transport=SimulatedTransport(),
+                           bin_width=bin_width)
 
 
 class TestFlushSemantics:
-    def test_flush_joins_outstanding_and_returns_last_message(self):
-        records = _timed_stream(count=300)
-        messages, _, flushed, _ = _run_daemon(records, workers=2)
+    def test_flush_returns_last_message(self):
+        messages, _, flushed = _run_daemon(_timed_stream(count=300))
         assert flushed is not None
         assert flushed is messages[-1]
 
     def test_flush_without_records_returns_none(self):
         transport = SimulatedTransport()
-        daemon = FlowtreeDaemon(site="s", schema=SCHEMA_4F, transport=transport,
-                                bin_width=5.0, config=UNBOUNDED, workers=2)
+        daemon = _daemon(transport)
         assert daemon.flush() is None
         daemon.close()
         assert transport.receive("collector") == []
 
     def test_close_is_idempotent_and_flushes(self):
         transport = SimulatedTransport()
-        daemon = FlowtreeDaemon(site="s", schema=SCHEMA_4F, transport=transport,
-                                bin_width=5.0, config=UNBOUNDED, workers=2)
+        daemon = _daemon(transport)
         daemon.consume_records(_timed_stream(count=50), batch_size=16)
         daemon.close()
         daemon.close()
@@ -142,55 +187,29 @@ class TestFlushSemantics:
         assert daemon.stats.bins_exported >= 1
 
     def test_closed_daemon_refuses_records(self):
-        from repro.core import DaemonError
-
         transport = SimulatedTransport()
-        daemon = FlowtreeDaemon(site="s", schema=SCHEMA_4F, transport=transport,
-                                bin_width=5.0, config=UNBOUNDED, workers=2)
+        daemon = _daemon(transport)
         daemon.consume_records(_timed_stream(count=20), batch_size=8)
         daemon.close()
-        # Accepting records again would silently respawn (and leak) a pool.
         with pytest.raises(DaemonError):
             daemon.consume_record(make_timed_record(999.0))
 
 
-class TestCrashDuringBin:
-    @pytest.mark.parametrize("crash_at", [150, 450, 820])
-    def test_mid_bin_crash_is_invisible_in_exports(self, crash_at):
-        """A worker killed mid-bin (including with a bin's summaries in
-        flight) must not drop or double-count any sub-batch: the exported
-        payload sequence stays byte-identical to the no-crash run."""
-        records = _timed_stream()
-        baseline, baseline_stats, _, _ = _run_daemon(records, workers=0)
-        messages, stats, _, worker_stats = _run_daemon(
-            records, workers=2, crash_worker=crash_at % 2, crash_at=crash_at
-        )
-        assert [m.payload for m in messages] == [m.payload for m in baseline]
-        assert stats.records_consumed == baseline_stats.records_consumed
-        assert stats.late_records == baseline_stats.late_records
-        assert worker_stats["worker_restarts"] >= 1
-
-
 class TestDeploymentWiring:
-    def test_parallel_deployment_matches_single_process(self):
+    def test_sites_are_the_unit_of_parallelism(self):
+        with pytest.raises(DaemonError, match="daemon_workers"):
+            Deployment(SCHEMA_4F, ["a"], bin_width=5.0, daemon_workers=1)
+
+    @pytest.mark.parametrize("workers", [2, 4, -1])
+    def test_any_nonzero_worker_count_rejected(self, workers):
+        with pytest.raises(DaemonError, match="daemon_workers"):
+            Deployment(SCHEMA_4F, ["a", "b"], bin_width=5.0, daemon_workers=workers)
+
+    def test_deployment_replays_every_site(self):
         records = _timed_stream(count=600)
-        results = {}
-        for workers in (0, 2):
-            with Deployment(SCHEMA_4F, ["a", "b"], bin_width=5.0,
-                            daemon_config=UNBOUNDED, daemon_workers=workers) as deployment:
-                deployment.attach_records("a", records[:300])
-                deployment.attach_records("b", records[300:])
-                consumed = deployment.run()
-                assert consumed == {"a": 300, "b": 300}
-                merged = deployment.collector.merged()
-                bins = {
-                    site: deployment.collector.bins_for(site)
-                    for site in deployment.site_names
-                }
-                stats = deployment.worker_stats()
-                results[workers] = (merged.total_counters(), bins, stats)
-        assert results[0][0] == results[2][0]
-        assert results[0][1] == results[2][1]
-        assert results[0][2] == {"a": {}, "b": {}}
-        assert results[2][2]["a"]["workers"] == 2
-        assert results[2][2]["b"]["records_ingested"] == 300
+        with Deployment(SCHEMA_4F, ["a", "b"], bin_width=5.0,
+                        daemon_config=UNBOUNDED, daemon_workers=0) as deployment:
+            deployment.attach_records("a", records[:300])
+            deployment.attach_records("b", records[300:])
+            assert deployment.run() == {"a": 300, "b": 300}
+            assert deployment.collector.merged().total_counters().flows == 600

@@ -3,17 +3,15 @@
 Covers the :class:`FaultPlan` scheduling contract (seeded determinism,
 per-seam independence, ``after``/``max_fires`` bounds, validation) and each
 injection seam in isolation: store commit failures, torn segment writes,
-the collector kill switch, the parallel worker crash, and the hard
+the collector kill switch, and the hard
 zero-overhead requirement that a plan with nothing armed changes nothing.
 The end-to-end combinations live in ``tests/test_chaos.py``.
 """
 
-from functools import partial
-
 import pytest
 
-from helpers import make_record, make_timed_record
-from repro.core import ShardedFlowtree, ShardWorkerPool, to_bytes
+from helpers import make_timed_record
+from repro.core import to_bytes
 from repro.core.config import FlowtreeConfig
 from repro.core.errors import (
     CollectorUnavailableError,
@@ -25,7 +23,6 @@ from repro.distributed import (
     FAULT_COLLECTOR_KILL,
     FAULT_STORE_COMMIT,
     FAULT_STORE_TORN_WRITE,
-    FAULT_WORKER_CRASH,
     Collector,
     CollectorConfig,
     FaultPlan,
@@ -285,27 +282,6 @@ class TestCollectorKillSeam:
         collector.revive()
         assert collector.healthy
         assert collector.merged() is not None
-
-
-class TestWorkerCrashSeam:
-    def test_injected_worker_crash_is_byte_identical(self):
-        records = [
-            make_record(src=f"10.1.{i % 30}.{i % 200 or 1}", sport=1000 + i % 17)
-            for i in range(400)
-        ]
-        reference = ShardedFlowtree(SCHEMA_4F, FlowtreeConfig(max_nodes=None), num_shards=2)
-        reference.add_batch(records, batch_size=64)
-
-        plan = FaultPlan(seed=0).arm(FAULT_WORKER_CRASH, after=2, max_fires=1)
-        with ShardedFlowtree(
-            SCHEMA_4F, FlowtreeConfig(max_nodes=None), num_shards=2,
-            pool=partial(ShardWorkerPool, faults=plan),
-        ) as parallel:
-            parallel.add_batch(records, batch_size=64)
-            assert plan.fires(FAULT_WORKER_CRASH) == 1
-            assert parallel.stats_snapshot()["worker_restarts"] == 1
-            assert parallel.total_counters() == reference.total_counters()
-            assert to_bytes(parallel.merged_tree()) == to_bytes(reference.merged_tree())
 
 
 class TestDisabledPlanIsInert:

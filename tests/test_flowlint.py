@@ -33,7 +33,6 @@ from repro.devtools.lint.rules.exception_hygiene import ExceptionHygieneRule
 from repro.devtools.lint.rules.fault_reporting import FaultReportingRule
 from repro.devtools.lint.rules.fold_determinism import FoldDeterminismRule
 from repro.devtools.lint.rules.lock_discipline import LockDisciplineRule
-from repro.devtools.lint.rules.picklability import PicklabilityRule
 from repro.devtools.lint.rules.thread_confinement import ThreadConfinementRule
 from repro.devtools.lint.rules.wire_format import (
     WireFormatRule,
@@ -62,7 +61,7 @@ def rule_names(findings):
 
 
 class TestEngine:
-    def test_all_ten_rules_registered(self):
+    def test_all_nine_rules_registered(self):
         names = {rule.name for rule in all_rules()}
         assert names == {
             "atomic-commit",
@@ -74,7 +73,6 @@ class TestEngine:
             "lock-discipline",
             "thread-confinement",
             "wire-format",
-            "worker-picklability",
         }
 
     def test_rules_have_descriptions(self):
@@ -368,7 +366,6 @@ class TestAtomicCommit:
 
 WIRE_MODULE = '''
 FORMAT_VERSION = 2
-BATCH_FORMAT_VERSION = 1
 
 
 def encode_varint(value, out):
@@ -406,34 +403,6 @@ def summary_header(data):
 
 def from_bytes(data):
     return None
-
-
-def encode_aggregated_batch(items):
-    return b"FTAB"
-
-
-def decode_aggregated_batch(data, schema):
-    return [], 0
-
-
-def _encode_varint_entry(entry, out):
-    out.append(entry)
-
-
-def _decode_varint_entry(data, offset, schema):
-    return data[offset], offset + 1
-
-
-def _fixed_entry_values(entry, kinds):
-    return None
-
-
-def _decode_fixed_section(view, offset, count, codec, items):
-    return offset
-
-
-def _fixed_codec_for_types(types):
-    return None
 '''
 
 
@@ -464,7 +433,7 @@ class TestWireFormat:
         assert rule_names(findings) == ["wire-format"]
         assert "bump FORMAT_VERSION" in findings[0].message
 
-    def test_shared_primitive_change_flags_both_groups(self):
+    def test_shared_primitive_change_flags_format_version(self):
         rule = wire_rule_for(WIRE_MODULE)
         drifted = WIRE_MODULE.replace(
             "def encode_varint(value, out):\n    \"\"\"Docstrings are free to change.\"\"\"\n    out.append(value)",
@@ -472,7 +441,7 @@ class TestWireFormat:
         )
         findings = lint(drifted, path=SERIALIZATION_PATH, rules=[rule])
         constants = {f.message.split("but ")[1].split(" is")[0] for f in findings}
-        assert constants == {"FORMAT_VERSION", "BATCH_FORMAT_VERSION"}
+        assert constants == {"FORMAT_VERSION"}
 
     def test_version_bump_demands_manifest_regen(self):
         rule = wire_rule_for(WIRE_MODULE)
@@ -505,89 +474,17 @@ class TestWireFormat:
                           select=["wire-format"])
         assert findings == []
 
+    def test_shipped_manifest_pins_only_the_summary_format(self):
+        """One pinned group: the nine FTRE codec functions at version 2."""
+        from repro.core.serialization import FORMAT_VERSION
+        from repro.devtools.lint.rules.wire_format import PINNED_FUNCTIONS, load_manifest
 
-# -- worker-picklability -----------------------------------------------------------
-
-
-class TestPicklability:
-    RULES = [PicklabilityRule()]
-
-    def test_lambda_process_target_flagged(self):
-        findings = lint(
-            """
-            import multiprocessing
-
-            def spawn():
-                worker = multiprocessing.Process(target=lambda: None)
-                worker.start()
-            """,
-            rules=self.RULES,
-        )
-        assert rule_names(findings) == ["worker-picklability"]
-
-    def test_nested_function_target_flagged(self):
-        findings = lint(
-            """
-            import multiprocessing
-
-            def spawn():
-                def body():
-                    pass
-                worker = multiprocessing.Process(target=body)
-                worker.start()
-            """,
-            rules=self.RULES,
-        )
-        assert rule_names(findings) == ["worker-picklability"]
-
-    def test_module_level_target_passes(self):
-        findings = lint(
-            """
-            import multiprocessing
-
-            def body():
-                pass
-
-            def spawn():
-                worker = multiprocessing.Process(target=body)
-                worker.start()
-            """,
-            rules=self.RULES,
-        )
-        assert findings == []
-
-    def test_pool_submission_with_lambda_flagged(self):
-        findings = lint(
-            """
-            def fan_out(pool, items):
-                return pool.map(lambda item: item, items)
-            """,
-            rules=self.RULES,
-        )
-        assert rule_names(findings) == ["worker-picklability"]
-
-    def test_plain_container_map_not_confused_with_pool(self):
-        findings = lint(
-            """
-            def remap(values):
-                return values.map(lambda item: item)
-            """,
-            rules=self.RULES,
-        )
-        assert findings == []
-
-    def test_suppressed(self):
-        findings = lint(
-            """
-            import multiprocessing
-
-            def spawn():
-                worker = multiprocessing.Process(target=lambda: None)  # flowlint: disable=worker-picklability
-                worker.start()
-            """,
-            rules=self.RULES,
-        )
-        assert findings == []
+        groups = load_manifest()["groups"]
+        assert set(groups) == set(PINNED_FUNCTIONS) == {"FORMAT_VERSION"}
+        group = groups["FORMAT_VERSION"]
+        assert group["pinned_version"] == FORMAT_VERSION == 2
+        assert sorted(group["functions"]) == sorted(PINNED_FUNCTIONS["FORMAT_VERSION"])
+        assert len(group["functions"]) == 9
 
 
 # -- fold-determinism ---------------------------------------------------------------
@@ -1251,7 +1148,7 @@ class TestCli:
         )
         # exception-hygiene finds it; selecting another rule does not.
         assert main([str(path), "--select", "exception-hygiene"]) == EXIT_FINDINGS
-        assert main([str(path), "--select", "worker-picklability"]) == EXIT_CLEAN
+        assert main([str(path), "--select", "wire-format"]) == EXIT_CLEAN
 
     def test_json_report_schema(self, tmp_path, capsys):
         path = self.write(
@@ -1340,7 +1237,7 @@ class TestShippedTreeIsClean:
 
         This is the gate that turns every rule into an enforced contract:
         reintroducing a cache-incoherent mutation, a torn store write, a
-        wire drift, an unpicklable worker target, an unordered fold or a
+        wire drift, an unordered fold or a
         swallowed broad except makes this test (and the CI lint job) fail.
         """
         paths = [str(REPO_ROOT / name) for name in ("src", "tests", "benchmarks")]
