@@ -37,7 +37,7 @@ from repro.core.operators import merge_all
 from repro.core.serialization import from_bytes, to_bytes
 from repro.distributed.diffsync import DiffSyncDecoder
 from repro.distributed.faults import FAULT_COLLECTOR_KILL, FaultPlan
-from repro.distributed.messages import SummaryMessage
+from repro.distributed.messages import SUMMARY_FULL, SummaryMessage
 from repro.distributed.stores import STORE_KINDS, TimeSeriesStore, open_store
 from repro.distributed.stores.base import (
     pack_float,
@@ -413,6 +413,8 @@ class Collector:
                 self._duplicates_dropped += 1
                 return False
             prior_baseline = self._decoder.baseline(site)
+            # Decoding is also the poison check (it raises SerializationError
+            # for corrupt payloads), so it runs even for a full summary.
             tree = self._decoder.decode(message)
             series = self._series.get(site)
             if series is None:
@@ -431,12 +433,17 @@ class Collector:
             processed = self._messages_processed + 1
             received = self._bytes_received + message.payload_bytes
             meta: Optional[Dict[str, bytes]] = None
+            payload: Optional[bytes] = None
             if self._store.durable:
-                # Everything restart recovery needs commits atomically with
-                # the bin payload: the diff baseline this message established,
-                # the dedup guard covering it, and the running counters.
+                # One encoding serves as the bin payload and the baseline: a
+                # full summary's wire bytes, or a diff's reconstruction
+                # encoded once.  Everything restart recovery needs commits
+                # atomically with the bin payload: the diff baseline this
+                # message established, the dedup guard covering it, and the
+                # running counters.
+                payload = message.payload if message.kind == SUMMARY_FULL else to_bytes(tree)
                 meta = {
-                    f"baseline/{site}": to_bytes(tree),
+                    f"baseline/{site}": payload,
                     f"dedup/{site}": pack_int_pairs(new_seen),
                     _COUNTERS_KEY: pack_ints(
                         (processed, received,
@@ -444,7 +451,7 @@ class Collector:
                     ),
                 }
             try:
-                series.insert_tree(message.bin_index, tree, meta=meta)
+                series.insert_tree(message.bin_index, tree, meta=meta, payload=payload)
             except BaseException:
                 # The commit failed: roll the decoder back so retrying this
                 # message decodes exactly like the first attempt did.  Guards

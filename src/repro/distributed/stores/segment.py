@@ -16,6 +16,9 @@ crc)`` and carries the metadata key/value space.  Commit protocol:
 2. write the updated index to ``index.json.tmp``,
 3. ``os.replace`` it over ``index.json``.
 
+With ``fsync=True`` each step is also fsynced, the rename through the
+store directory.  The index rewrite is O(bins) per commit.
+
 The rename is the commit point.  A crash at any earlier step leaves the
 old index in place, so the half-written record is simply invisible —
 stale bytes at a segment tail are never read because reads go through
@@ -48,6 +51,15 @@ DEFAULT_SEGMENT_MAX_BYTES = 4 * 1024 * 1024
 _Entry = Tuple[int, int, int, int]
 
 
+def _fsync_directory(path: Path) -> None:
+    """Make the directory's entries (created and renamed files) durable."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 class SegmentFileStore(CachedTreeStore):
     """Durable store over append-only segments plus an atomic index file."""
 
@@ -61,9 +73,10 @@ class SegmentFileStore(CachedTreeStore):
         fsync: bool = False,
     ) -> None:
         """``fsync=True`` additionally fsyncs segment + index on every
-        commit (OS-crash durability); the default flushes user-space
-        buffers per commit and fsyncs on :meth:`flush`/:meth:`close`,
-        which is what process-crash recovery needs."""
+        commit, and the store directory after each index rename (OS-crash
+        durability); the default flushes user-space buffers per commit and
+        fsyncs on :meth:`flush`/:meth:`close`, which is what process-crash
+        recovery needs."""
         super().__init__(cache_bins=cache_bins)
         if segment_max_bytes < 1:
             raise ValueError(f"segment_max_bytes must be positive, got {segment_max_bytes}")
@@ -113,12 +126,15 @@ class SegmentFileStore(CachedTreeStore):
         self._active_segment = int(document.get("active_segment", 1))
 
     def _commit_index(self) -> None:
+        # Entries stay tuples (JSON writes them as arrays, like lists): a
+        # list per bin per commit is a burst of garbage-collector-tracked
+        # allocations that grows with the store.
         document = {
             "format": INDEX_FORMAT,
             "version": INDEX_VERSION,
             "active_segment": self._active_segment,
             "bins": {
-                site: {str(index): list(entry) for index, entry in bins.items()}
+                site: {str(index): entry for index, entry in bins.items()}
                 for site, bins in self._bins.items()
             },
             "meta": {
@@ -128,11 +144,15 @@ class SegmentFileStore(CachedTreeStore):
         }
         tmp_path = self._path / "index.json.tmp"
         with open(tmp_path, "w") as handle:
-            json.dump(document, handle)
+            # ``dumps`` runs the C encoder (``dump`` streams through the
+            # pure-Python one); the text is the same.
+            handle.write(json.dumps(document))
             handle.flush()
             if self._fsync:
                 os.fsync(handle.fileno())
         os.replace(tmp_path, self._index_path)
+        if self._fsync:
+            _fsync_directory(self._path)
 
     # -- segment writing -----------------------------------------------------------
 
@@ -140,11 +160,18 @@ class SegmentFileStore(CachedTreeStore):
         if self._writer is None:
             self._writer = open(self._segment_path(self._active_segment), "ab")
             self._writer.seek(0, os.SEEK_END)
+            if self._fsync:
+                # The segment file may have just been created.
+                _fsync_directory(self._segments_dir)
         return self._writer
 
     def _roll_if_needed(self) -> None:
         writer = self._open_writer()
         if writer.tell() >= self._segment_max_bytes:
+            # A sealed segment is never written again, so this is the last
+            # chance to make its tail durable (flush() covers only the
+            # active one).
+            os.fsync(writer.fileno())
             writer.close()
             self._writer = None
             self._active_segment += 1
@@ -217,10 +244,21 @@ class SegmentFileStore(CachedTreeStore):
         return len(old)
 
     def flush(self) -> None:
-        """Flush and fsync the active segment (every commit already renamed its index)."""
+        """Force every committed ``put`` to stable storage.
+
+        Every commit already renamed its index into place; this fsyncs the
+        active segment's bytes, the current ``index.json`` and both
+        directories, so the segment files and the last rename survive an
+        OS crash too.
+        """
         if self._writer is not None:
             self._writer.flush()
             os.fsync(self._writer.fileno())
+        if self._index_path.exists():
+            with open(self._index_path, "rb") as handle:
+                os.fsync(handle.fileno())
+        _fsync_directory(self._segments_dir)
+        _fsync_directory(self._path)
 
     def _close_backend(self) -> None:
         self.flush()

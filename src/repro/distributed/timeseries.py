@@ -158,6 +158,7 @@ class FlowtreeTimeSeries:
         bin_index: int,
         tree: Flowtree,
         meta: Optional[Dict[str, bytes]] = None,
+        payload: Optional[bytes] = None,
     ) -> None:
         """Install (or merge into) a bin from an externally built summary.
 
@@ -165,11 +166,16 @@ class FlowtreeTimeSeries:
         updates, e.g. dedup guards and diff baselines) are committed to the
         backend atomically before the call returns.  A merge is built
         aside, so a failed commit leaves the served bin untouched.
+
+        ``payload`` is ``tree``'s FTRE encoding, passed through to
+        :meth:`TimeSeriesStore.put` for a fresh bin; a merge into an
+        existing bin commits a different tree, so it is dropped there.
         """
         existing = self._store.get(self._site, bin_index)
         if existing is not None:
             tree = existing.merged(tree)
-        self._store.put(self._site, bin_index, tree, meta=meta)
+            payload = None
+        self._store.put(self._site, bin_index, tree, meta=meta, payload=payload)
 
     def flush(self) -> None:
         """Durability barrier of the backend (every bin is already committed)."""

@@ -380,6 +380,66 @@ class TestSegmentCrashSafety:
         reopened.close()
 
 
+def _record_fsyncs(monkeypatch):
+    """Log ``("fsync", inode)`` / ``("replace", target)`` events in call order."""
+    events = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        events.append(("fsync", os.fstat(fd).st_ino))
+        real_fsync(fd)
+
+    def replace(source, target):
+        real_replace(source, target)
+        events.append(("replace", Path(target).name))
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    return events
+
+
+def _inode(path):
+    return os.stat(path).st_ino
+
+
+class TestSegmentDurability:
+    def test_flush_fsyncs_segment_index_and_directories(self, tmp_path, monkeypatch):
+        path = tmp_path / "store"
+        store = SegmentFileStore(path)
+        store.put("site", 0, small_tree([(("10.0.0.1", "192.0.2.1"), 5)]))
+        events = _record_fsyncs(monkeypatch)
+        store.flush()
+        synced = {inode for kind, inode in events if kind == "fsync"}
+        segment = next((path / "segments").glob("seg-*.dat"))
+        for target in (segment, path / "index.json", path / "segments", path):
+            assert _inode(target) in synced, f"{target.name} was not fsynced"
+        store.close()
+
+    def test_fsync_commit_makes_the_rename_durable(self, tmp_path, monkeypatch):
+        path = tmp_path / "store"
+        store = SegmentFileStore(path, fsync=True)
+        events = _record_fsyncs(monkeypatch)
+        store.put("site", 0, small_tree([(("10.0.0.1", "192.0.2.1"), 5)]))
+        renamed = events.index(("replace", "index.json"))
+        before = {inode for kind, inode in events[:renamed] if kind == "fsync"}
+        after = {inode for kind, inode in events[renamed + 1:] if kind == "fsync"}
+        segment = next((path / "segments").glob("seg-*.dat"))
+        assert {_inode(segment), _inode(path / "index.json"), _inode(path / "segments")} <= before
+        assert _inode(path) in after, "the store directory was not fsynced after the rename"
+        store.close()
+
+    def test_rolled_segment_is_fsynced_before_it_is_sealed(self, tmp_path, monkeypatch):
+        path = tmp_path / "store"
+        store = SegmentFileStore(path, segment_max_bytes=1)
+        store.put("site", 0, small_tree([(("10.0.0.1", "192.0.2.1"), 5)]))
+        first = _inode(next((path / "segments").glob("seg-*.dat")))
+        events = _record_fsyncs(monkeypatch)
+        store.put("site", 1, small_tree([(("10.0.0.2", "192.0.2.1"), 5)]))
+        assert len(list((path / "segments").glob("seg-*.dat"))) == 2
+        assert ("fsync", first) in events
+        store.close()
+
+
 class TestTimeSeriesStoreWiring:
     def test_bin_index_of_is_read_only(self):
         series = FlowtreeTimeSeries(SCHEMA_2F_SRC_DST, bin_width=BIN_WIDTH)
