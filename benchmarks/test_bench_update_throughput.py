@@ -183,12 +183,16 @@ def test_rebuild_compaction_speedup(benchmark):
     token-space pass instead, and the shipped dispatch must select it by
     itself from the batch overshoot.
 
-    Both strategies climb in token space now, so the gap is the tree
-    churn alone: rebuild measures ~1.9x incremental-forced (~110 k vs
-    ~58 k updates/s on the reference host; it was ~6.5x while the
-    incremental climb still built a ``FlowKey`` per chain step, at ~18 k
-    updates/s).  The gate sits at 1.4x — rebuild must keep winning here,
-    which is what justifies keeping two strategies.
+    Both strategies climb in token space, and the rebuild fold no longer
+    climbs at all once a level's survivors fill the budget with nothing
+    waiting above: that level's victims are charged to the root directly.
+    Here every rebuild starts from full-specificity leaves, so it steps
+    nothing, and rebuild measures ~7.6-9.9x incremental-forced (~460-590 k
+    vs ~56-61 k updates/s on a 2-vCPU Xeon host).  While every victim
+    walked its whole chain the ratio was ~1.9x (~94-108 k rebuild), and
+    ~6.5x before that while the incremental climb built a ``FlowKey`` per
+    chain step (~18 k updates/s).  The gate stays at 1.4x — rebuild must
+    keep winning here, which is what justifies keeping two strategies.
 
     Three rows: the incremental strategy forced (the one threshold constant
     patched to ``inf``), the rebuild forced (patched to ``0``) and the

@@ -235,14 +235,21 @@ class RebuildCompactor:
 
     Semantics match the incremental strategy's contract, not its byte
     output: counters are conserved exactly, the node budget is enforced,
-    protection (``protected_min_count``) orders victims per level with the
-    budget taking precedence (the end state incremental's rounds converge
-    to), but the surviving aggregate set may differ (the equivalence bound
-    is pinned by ``tests/test_compaction_rebuild``).
-    """
+    and each level folds its least popular entries first — so every entry
+    below ``protected_min_count`` goes before any entry at or above it,
+    with the budget taking precedence (the end state incremental's rounds
+    converge to) — but the surviving aggregate set may differ (the
+    equivalence bound is pinned by ``tests/test_compaction_rebuild``).
 
-    def __init__(self, config: FlowtreeConfig) -> None:
-        self._config = config
+    What survives when the budget fills at full specificity — a flood into
+    a tree without coarse aggregates, such as flowbench's ``churn-flood``:
+    the first level's survivors fill the budget, so the rebuild keeps the
+    ``target_nodes - 1`` heaviest full-specificity entries and charges
+    everything else to the root; no aggregate survives.  On
+    ``churn-flood`` (seed 1) that is 408 survivors per bin, all at depth
+    96, and 84.5 % of the packets in the root.  This is a stated limit of
+    the fold, not a goal.
+    """
 
     def rebuild(
         self,
@@ -274,7 +281,6 @@ class RebuildCompactor:
             target_nodes,
             tree.schema,
             tree.chain_builder,
-            self._config.protected_min_count,
         )
         tree._rebuild_from_entries(survivors)
         return folded
@@ -363,7 +369,6 @@ def fold_levels(
     target_nodes: int,
     schema,
     chain_builder: ChainBuilder,
-    protected: int,
 ) -> tuple:
     """Level-by-level bottom-up fold; returns ``(survivors, folded)``.
 
@@ -384,6 +389,12 @@ def fold_levels(
     *survivor* — at most ``target_nodes`` of them — from the entry's
     retained representative.
 
+    Once a level's survivors fill the budget with nothing waiting at a
+    shallower depth, that level's victims are charged to the root without
+    a single chain step: they would climb every remaining level and end
+    there anyway.  Under a flood into a tree without coarse aggregates
+    this is the first level processed, and the fold steps nothing.
+
     This is a pure function of its arguments (``levels`` and
     ``root_counters`` are mutated, nothing else is touched): the same
     flattened levels always take exactly the same victim-selection and
@@ -394,6 +405,7 @@ def fold_levels(
     fold_step = chain_builder.fold_step
     parent_cache: Dict[tuple, tuple] = {}
     total = before
+    final = 0   # entries kept at the depths already processed
     for depth in range(max(levels, default=0), 0, -1):
         if total <= budget:
             break
@@ -408,28 +420,30 @@ def fold_levels(
         need = count_here - keep
         if need <= 0:
             continue
-        ranked = sorted(
+        # Victims are the least popular entries; ``sorted`` is stable, so
+        # ties fold in bucket order.  Every entry below a protection
+        # threshold is cheaper than every entry at or above it, so the
+        # unprotected ones always fold first.
+        victims = sorted(
             (
                 (entry, vec, sig)
                 for vec, bucket in at_depth.items()
                 for sig, entry in bucket.items()
             ),
             key=lambda item: item[0][0],
-        )
-        if protected > 0:
-            # Protection orders victims, the budget wins — the same end
-            # state the incremental strategy reaches: its rounds fold
-            # unprotected leaves first and fall back to protected ones
-            # once no unprotected victim is left.  Levels are processed
-            # exactly once here, so the fallback must happen within the
-            # level or the budget would be violated permanently.
-            unprotected = [item for item in ranked if item[0][0] < protected]
-            victims = unprotected[:need]
-            if len(victims) < need:
-                shielded = [item for item in ranked if item[0][0] >= protected]
-                victims.extend(shielded[:need - len(victims)])
-        else:
-            victims = ranked[:need]
+        )[:need]
+        if total - count_here == final:
+            # Nothing waits at a shallower depth: this level's survivors
+            # fill the budget, every later level keeps nothing, and each
+            # victim would climb its whole chain into the root.  Charge it
+            # there directly; integer sums do not depend on the order.
+            for entry, vec, sig in victims:
+                del at_depth[vec][sig]
+                root_counters.packets += entry[0]
+                root_counters.bytes += entry[1]
+                root_counters.flows += entry[2]
+            break
+        final += keep
         for entry, vec, sig in victims:
             del at_depth[vec][sig]
             total -= 1

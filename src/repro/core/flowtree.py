@@ -257,7 +257,7 @@ class Flowtree(RecordIngest):
         self._nodes: Dict[FlowKey, FlowtreeNode] = {root_key: self._root}
         self._stats = UpdateStats()
         self._compactor = Compactor(self._config)
-        self._rebuilder = RebuildCompactor(self._config)
+        self._rebuilder = RebuildCompactor()
         # Whether raw record signatures double as full-specificity token
         # tuples for every field — the precondition of the rebuild
         # compactor's key-construction-free batch path (see

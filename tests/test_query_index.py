@@ -244,7 +244,7 @@ class TestPrimedIndexAfterRebuild:
         levels, before = flatten_levels(tree, ())
         survivors, _ = fold_levels(
             levels, before, tree.root.counters, 300,
-            tree.schema, tree.chain_builder, 0,
+            tree.schema, tree.chain_builder,
         )
         for key, _entry, sig in survivors:
             assert sig == signature_at(key, key.specificity_vector)
