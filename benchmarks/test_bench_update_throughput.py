@@ -23,7 +23,7 @@ import pytest
 from workloads import print_header
 from repro.analysis import render_table
 from repro.baselines import FullUpdateHHH, RandomizedHHH, SpaceSavingSummary
-from repro.core import Flowtree, FlowtreeConfig, ShardedFlowtree, compaction
+from repro.core import Flowtree, FlowtreeConfig, compaction
 from repro.features.schema import SCHEMA_4F
 from repro.traces import CaidaLikeTraceGenerator
 
@@ -119,7 +119,7 @@ def test_batched_ingestion_speedup(benchmark):
     budget = 8_000
 
     def run():
-        loop_rates, batch_rates, sharded_rates = [], [], []
+        loop_rates, batch_rates = [], []
         for _ in range(3):
             loop_tree = Flowtree(SCHEMA_4F, FlowtreeConfig(max_nodes=budget))
             start = time.perf_counter()
@@ -130,45 +130,31 @@ def test_batched_ingestion_speedup(benchmark):
             start = time.perf_counter()
             batch_tree.add_batch(packets)
             batch_rates.append(len(packets) / (time.perf_counter() - start))
-
-            sharded = ShardedFlowtree(
-                SCHEMA_4F, FlowtreeConfig(max_nodes=budget), num_shards=4
-            )
-            start = time.perf_counter()
-            sharded.add_batch(packets)
-            sharded_rates.append(len(packets) / (time.perf_counter() - start))
         return (
-            loop_tree, batch_tree, sharded,
+            loop_tree, batch_tree,
             statistics.median(loop_rates),
             statistics.median(batch_rates),
-            statistics.median(sharded_rates),
         )
 
-    loop_tree, batch_tree, sharded, loop_rate, batch_rate, sharded_rate = (
+    loop_tree, batch_tree, loop_rate, batch_rate = (
         benchmark.pedantic(run, rounds=1, iterations=1)
     )
     benchmark.extra_info["rel_batch_speedup"] = round(batch_rate / loop_rate, 3)
-    benchmark.extra_info["rel_sharded_speedup"] = round(sharded_rate / loop_rate, 3)
     print_header("CLAIM-BATCH",
-                 "batched + sharded ingestion vs the per-record loop (median of 3)")
+                 "batched ingestion vs the per-record loop (median of 3)")
     print(render_table([
         {"ingestion": "per-record add_records", "updates_per_second": int(loop_rate),
          "speedup": "1.00x"},
         {"ingestion": "batched add_batch", "updates_per_second": int(batch_rate),
          "speedup": f"{batch_rate / loop_rate:.2f}x"},
-        {"ingestion": "sharded (4) add_batch", "updates_per_second": int(sharded_rate),
-         "speedup": f"{sharded_rate / loop_rate:.2f}x"},
     ]))
-    # All three paths account for every packet.
+    # Both paths account for every packet.
     assert batch_tree.total_counters() == loop_tree.total_counters()
-    assert sharded.total_counters() == loop_tree.total_counters()
     # The tentpole claim: batching buys at least 2x ingest throughput.
     assert batch_rate >= 2.0 * loop_rate, (
         f"batched ingestion only reached {batch_rate / loop_rate:.2f}x "
         f"({int(batch_rate)}/s vs {int(loop_rate)}/s)"
     )
-    # Sharding adds partitioning overhead but must not lose the batching win.
-    assert sharded_rate >= loop_rate
 
 
 @pytest.mark.benchmark(group="update-throughput")

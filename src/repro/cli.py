@@ -39,7 +39,6 @@ from repro.core.config import FlowtreeConfig
 from repro.core.flowtree import Flowtree
 from repro.core.key import FlowKey
 from repro.core.serialization import from_bytes, size_report, to_bytes
-from repro.core.sharded import ShardedFlowtree
 from repro.devtools.lint.engine import main as _flowlint_main
 from repro.distributed.collector import Collector, CollectorConfig, stored_identity
 from repro.distributed.daemon import FlowtreeDaemon
@@ -88,9 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("--input-format", choices=("csv", "pcap"), default="csv")
     build.add_argument("--batch-size", type=int, default=16_384,
                        help="records pre-aggregated per ingestion batch (0 = per-record)")
-    build.add_argument("--shards", type=int, default=1,
-                       help="hash-partition ingestion across N shard trees, "
-                            "merged into one summary before writing")
     build.add_argument("input", type=Path)
     build.add_argument("output", type=Path)
 
@@ -184,34 +180,21 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _ingest(summarizer, records, batch_size: int) -> int:
-    """Batched ingestion, or the per-record loop for ``--batch-size 0``."""
-    if batch_size and batch_size > 0:
-        return summarizer.add_batch(records, batch_size=batch_size)
-    return summarizer.add_records(records)
-
-
 def _cmd_build(args: argparse.Namespace) -> int:
     schema = schema_by_name(args.schema)
     config = FlowtreeConfig(max_nodes=args.max_nodes, policy=args.policy)
-    if args.shards < 1:
-        raise ValueError(f"--shards must be at least 1, got {args.shards}")
     if args.input_format == "pcap":
         records = read_pcap(args.input)
     else:
         records = read_csv(args.input)
-    via = ""
-    if args.shards > 1:
-        summarizer = ShardedFlowtree(schema, config, num_shards=args.shards)
-        consumed = _ingest(summarizer, records, args.batch_size)
-        tree = summarizer.merged_tree()
-        via = f" via {args.shards} shards"
+    tree = Flowtree(schema, config)
+    if args.batch_size > 0:
+        consumed = tree.add_batch(records, batch_size=args.batch_size)
     else:
-        tree = Flowtree(schema, config)
-        consumed = _ingest(tree, records, args.batch_size)
+        consumed = tree.add_records(records)
     args.output.write_bytes(to_bytes(tree))
     print(
-        f"summarized {consumed} records into {tree.node_count()} nodes{via} "
+        f"summarized {consumed} records into {tree.node_count()} nodes "
         f"({format_bytes(args.output.stat().st_size)}) -> {args.output}"
     )
     return 0

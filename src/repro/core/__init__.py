@@ -45,13 +45,6 @@ from repro.core.serialization import (
     to_bytes,
     to_json,
 )
-from repro.core.sharded import (
-    DEFAULT_NUM_SHARDS,
-    ShardedFlowtree,
-    partition_aggregated,
-    shard_config_for,
-    shard_index,
-)
 from repro.core.estimator import (
     children_of,
     coverage,
@@ -63,11 +56,6 @@ from repro.core.estimator import (
 
 __all__ = [
     "Flowtree",
-    "ShardedFlowtree",
-    "shard_index",
-    "shard_config_for",
-    "partition_aggregated",
-    "DEFAULT_NUM_SHARDS",
     "FlowtreeConfig",
     "PAPER_EVAL_CONFIG",
     "EXACT_CONFIG",

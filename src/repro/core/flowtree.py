@@ -31,8 +31,8 @@ from repro.features.schema import FlowSchema
 
 
 #: Records pre-aggregated per ingestion batch when callers don't choose;
-#: shared by :meth:`Flowtree.add_batch`, :class:`ShardedFlowtree` and the
-#: distributed daemon so the paths can't drift apart.
+#: shared by :meth:`Flowtree.add_batch` and the distributed daemon so the
+#: two paths can't drift apart.
 DEFAULT_BATCH_SIZE = 16_384
 
 #: :meth:`Flowtree.merge_many` switches from pairwise merges to the
@@ -44,8 +44,7 @@ MERGE_FOLD_MIN_TREES = 4
 def preaggregate_records(records, signature_of, count_bytes: bool) -> Dict[object, list]:
     """Group records by key signature into ``[packets, bytes, flows, sample]``.
 
-    The flat-dict phase shared by :meth:`Flowtree.add_batch` and
-    :meth:`~repro.core.sharded.ShardedFlowtree.add_batch`: one counter merge
+    The flat-dict phase of :meth:`Flowtree.add_batch`: one counter merge
     per record, one sample record kept per distinct signature so the caller
     can build the :class:`~repro.core.key.FlowKey` once.
     """
@@ -66,72 +65,6 @@ def preaggregate_records(records, signature_of, count_bytes: bool) -> Dict[objec
                 entry[1] += getattr(record, "bytes", 0)
             entry[2] += 1
     return pending
-
-
-class RecordIngest:
-    """Record-level ingestion, written once over a key-level ``add``.
-
-    Shared by :class:`Flowtree` and
-    :class:`~repro.core.sharded.ShardedFlowtree`, so the per-record loops
-    and the batch chunking cannot drift apart.  Subclasses provide
-    ``_schema``, ``_config``, ``add(key, packets, bytes, flows)`` and
-    ``_add_chunk(records)`` (pre-aggregate one bounded chunk and apply it).
-    """
-
-    def add_record(self, record: object) -> None:
-        """Charge one flow/packet record (duck-typed, see :mod:`repro.flows.records`)."""
-        key = FlowKey.from_record(self._schema, record)
-        packets = getattr(record, "packets", 1)
-        record_bytes = getattr(record, "bytes", 0) if self._config.count_bytes else 0
-        self.add(key, packets=packets, bytes=record_bytes, flows=1)
-
-    def add_records(self, records: Iterable[object]) -> int:
-        """Charge every record of an iterable; returns the number consumed."""
-        count = 0
-        for record in records:
-            self.add_record(record)
-            count += 1
-        return count
-
-    def add_batch(self, records: Iterable[object], batch_size: int = DEFAULT_BATCH_SIZE) -> int:
-        """Batched ingestion fast path; returns the number of records consumed.
-
-        Produces exactly the counters a :meth:`add_record` loop over the
-        same records would, but does the work per *distinct* key instead of
-        per record:
-
-        1. records are pre-aggregated by their raw-attribute signature
-           (:meth:`~repro.features.schema.FlowSchema.signature_of`) in a
-           flat dict — one counter merge per record, no ``FlowKey``
-           construction,
-        2. at most one :class:`FlowKey` is built per distinct signature and
-           the keys are applied in first-seen order by a single
-           :meth:`Flowtree.add_aggregated` pass (per shard, when sharded), and
-        3. compaction is amortized: instead of a check per record, it runs
-           at batch boundaries and whenever a batch overshoots the node
-           budget by more than one victim-batch-sized margin.
-
-        ``batch_size`` bounds how many records are pre-aggregated before
-        the tree is touched, which keeps memory bounded on arbitrarily long
-        iterables (pass ``0`` to aggregate everything in one batch).
-
-        With compaction disabled the result is byte-identical to the
-        per-record loop; with a node budget, compaction fires at slightly
-        different points in the stream, so the two paths may fold different
-        victims (same totals, slightly different aggregates).
-        """
-        iterator = iter(records)
-        consumed = 0
-        while True:
-            if batch_size and batch_size > 0:
-                chunk = list(islice(iterator, batch_size))
-            else:
-                chunk = list(iterator)
-            if not chunk:
-                break
-            self._add_chunk(chunk)
-            consumed += len(chunk)
-        return consumed
 
 
 @dataclass
@@ -220,7 +153,7 @@ class Estimate:
         )
 
 
-class Flowtree(RecordIngest):
+class Flowtree:
     """Self-adjusting summary of hierarchical flows (the paper's contribution).
 
     Args:
@@ -373,6 +306,61 @@ class Flowtree(RecordIngest):
         node.updated_seq = self._stats.updates
         node.invalidate_subtree_cache()
         self._maybe_compact()
+
+    def add_record(self, record: object) -> None:
+        """Charge one flow/packet record (duck-typed, see :mod:`repro.flows.records`)."""
+        key = FlowKey.from_record(self._schema, record)
+        packets = getattr(record, "packets", 1)
+        record_bytes = getattr(record, "bytes", 0) if self._config.count_bytes else 0
+        self.add(key, packets=packets, bytes=record_bytes, flows=1)
+
+    def add_records(self, records: Iterable[object]) -> int:
+        """Charge every record of an iterable; returns the number consumed."""
+        count = 0
+        for record in records:
+            self.add_record(record)
+            count += 1
+        return count
+
+    def add_batch(self, records: Iterable[object], batch_size: int = DEFAULT_BATCH_SIZE) -> int:
+        """Batched ingestion fast path; returns the number of records consumed.
+
+        Produces exactly the counters a :meth:`add_record` loop over the
+        same records would, but does the work per *distinct* key instead of
+        per record:
+
+        1. records are pre-aggregated by their raw-attribute signature
+           (:meth:`~repro.features.schema.FlowSchema.signature_of`) in a
+           flat dict — one counter merge per record, no ``FlowKey``
+           construction,
+        2. at most one :class:`FlowKey` is built per distinct signature and
+           the keys are applied in first-seen order by a single
+           :meth:`add_aggregated` pass, and
+        3. compaction is amortized: instead of a check per record, it runs
+           at batch boundaries and whenever a batch overshoots the node
+           budget by more than one victim-batch-sized margin.
+
+        ``batch_size`` bounds how many records are pre-aggregated before
+        the tree is touched, which keeps memory bounded on arbitrarily long
+        iterables (pass ``0`` to aggregate everything in one batch).
+
+        With compaction disabled the result is byte-identical to the
+        per-record loop; with a node budget, compaction fires at slightly
+        different points in the stream, so the two paths may fold different
+        victims (same totals, slightly different aggregates).
+        """
+        iterator = iter(records)
+        consumed = 0
+        while True:
+            if batch_size and batch_size > 0:
+                chunk = list(islice(iterator, batch_size))
+            else:
+                chunk = list(iterator)
+            if not chunk:
+                break
+            self._add_chunk(chunk)
+            consumed += len(chunk)
+        return consumed
 
     def _add_chunk(self, records: List[object]) -> None:
         """Pre-aggregate one bounded chunk and apply it in a single pass.

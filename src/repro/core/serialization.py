@@ -14,13 +14,14 @@ through the normal insertion path so all invariants hold.
 
 from __future__ import annotations
 
+import functools
 import json
 import struct
 import zlib
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple, TypeVar, cast
 
 from repro.core.config import FlowtreeConfig
-from repro.core.errors import SerializationError
+from repro.core.errors import FlowtreeError, SerializationError
 from repro.core.flowtree import Flowtree
 from repro.core.key import FlowKey
 from repro.core.node import Counters
@@ -155,7 +156,11 @@ def summary_header(data: bytes) -> Dict[str, int]:
 
 
 def from_bytes(data: bytes) -> Flowtree:
-    """Decode a Flowtree produced by :func:`to_bytes`."""
+    """Decode a Flowtree produced by :func:`to_bytes`.
+
+    Malformed input raises :class:`SerializationError` and nothing else
+    (see :func:`_only_serialization_errors`).
+    """
     if len(data) < len(MAGIC) + 6 or data[: len(MAGIC)] != MAGIC:
         raise SerializationError("not a Flowtree binary summary (bad magic)")
     version, flags, body_length = struct.unpack(
@@ -202,6 +207,37 @@ def from_bytes(data: bytes) -> Flowtree:
         node.counters.flows += flows
         node.invalidate_subtree_cache()
     return tree
+
+
+_Decode = TypeVar("_Decode", bound=Callable[[bytes], Flowtree])
+
+
+def _only_serialization_errors(decode: _Decode) -> _Decode:
+    """Make ``decode`` raise :class:`SerializationError` and nothing else.
+
+    A body behind a valid header can still be a bad deflate stream, hold
+    strings that are not UTF-8, or name keys, schemas or configurations the
+    library rejects.  Collectors drop a summary on ``SerializationError``
+    and retry on any other exception, so an untyped escape would pin the
+    bad message at the head of their backlog forever.
+    """
+
+    @functools.wraps(decode)
+    def typed(data: bytes) -> Flowtree:
+        try:
+            return decode(data)
+        except SerializationError:
+            raise
+        except (zlib.error, ValueError, FlowtreeError) as exc:
+            raise SerializationError(f"corrupt Flowtree summary: {exc}") from exc
+
+    return cast(_Decode, typed)
+
+
+# Bound here rather than written into from_bytes: its decode body is what
+# the wire manifest pins to FORMAT_VERSION, and typing its errors changes
+# no byte that is read or written.
+from_bytes = _only_serialization_errors(from_bytes)
 
 
 # -- JSON format ----------------------------------------------------------------

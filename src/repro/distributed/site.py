@@ -17,8 +17,8 @@ The transport is selected by configuration:
   binary summaries as length-prefixed frames over localhost or a real
   network (knobs via :class:`~repro.distributed.net.NetConfig`).
 
-With ``collectors > 1`` sites are partitioned across collectors by the
-same CRC-32 placement the core sharding uses (:func:`site_shard`), and
+With ``collectors > 1`` sites are partitioned across collectors by a
+stable CRC-32 of the site name (:func:`site_shard`), and
 the deployment's query engine scatter/gathers across the partitions.
 """
 
@@ -48,9 +48,9 @@ TRANSPORT_KINDS = ("memory", "tcp")
 def site_shard(site: str, collectors: int) -> int:
     """Which collector a site reports to: CRC-32 of the site name, modulo.
 
-    The same stable placement rule the core uses for subtree sharding
-    (:func:`repro.core.sharded.shard_index`), applied to site names: no
-    coordination, no reassignment when sites come and go.
+    CRC-32 rather than ``hash()``, which Python randomizes per process, so
+    every process places a site on the same collector: no coordination, no
+    reassignment when sites come and go.
     """
     if collectors < 1:
         raise DaemonError(f"a deployment needs at least one collector, got {collectors}")

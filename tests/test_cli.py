@@ -51,31 +51,6 @@ class TestCommands:
         assert 1 < tree.node_count() <= 1_000
         assert tree.total_counters().packets == 8_000
 
-    def test_build_shards_conserves_totals(self, trace_csv, tmp_path, capsys):
-        path = tmp_path / "shards.ft"
-        assert main(["build", "--max-nodes", "1000", "--shards", "2",
-                     str(trace_csv), str(path)]) == 0
-        assert "via 2 shards" in capsys.readouterr().out
-        tree = from_bytes(path.read_bytes())
-        assert tree.total_counters().packets == 8_000
-
-    @pytest.mark.parametrize("shards", [1, 3, 8])
-    def test_build_shard_count_keeps_totals_and_budget(self, trace_csv, tmp_path, shards):
-        path = tmp_path / f"shards-{shards}.ft"
-        assert main(["build", "--max-nodes", "500", "--shards", str(shards),
-                     str(trace_csv), str(path)]) == 0
-        tree = from_bytes(path.read_bytes())
-        tree.validate()
-        assert tree.config.max_nodes == 500
-        assert len(tree) <= 500
-        assert tree.total_counters().packets == 8_000
-
-    def test_build_rejects_non_positive_shards(self, trace_csv, tmp_path, capsys):
-        out = tmp_path / "x.ft"
-        assert main(["build", "--shards", "0", str(trace_csv), str(out)]) == 1
-        assert "--shards" in capsys.readouterr().err
-        assert not out.exists()
-
     def test_build_has_no_workers_flag(self, trace_csv, tmp_path):
         with pytest.raises(SystemExit):
             main(["build", "--workers", "2", str(trace_csv), str(tmp_path / "x.ft")])

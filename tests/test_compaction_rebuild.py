@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from helpers import SimpleRecord, force_incremental, force_rebuild, make_record
 
-from repro.core import Flowtree, FlowtreeConfig, ShardedFlowtree, to_bytes
+from repro.core import Flowtree, FlowtreeConfig, to_bytes
 from repro.core.compaction import rebuild_pays_off
 from repro.core.key import FlowKey
 from repro.features.ipaddr import IPv4Prefix
@@ -314,14 +314,21 @@ class TestStrategyEquivalence:
         assert len(tree) <= 64
 
     @force_rebuild()
-    def test_sharded_rebuild_is_merge_consistent(self, packet_stream_small):
+    def test_rebuilt_trees_are_merge_consistent(self, packet_stream_small):
         config = FlowtreeConfig(max_nodes=128)
-        sharded = ShardedFlowtree(SCHEMA_4F, config, num_shards=2)
-        sharded.add_batch(packet_stream_small, batch_size=512)
-        assert sharded.stats_snapshot()["rebuilds"] >= 1
-        sharded.validate()
-        merged = sharded.merged_tree()
-        assert merged.total_counters() == sharded.total_counters()
+        half = len(packet_stream_small) // 2
+        halves = [packet_stream_small[:half], packet_stream_small[half:]]
+        trees = [Flowtree(SCHEMA_4F, config) for _ in halves]
+        for tree, records in zip(trees, halves):
+            tree.add_batch(records, batch_size=512)
+            assert tree.stats.rebuilds >= 1
+            tree.validate()
+        merged = trees[0].merged(trees[1])
+        merged.validate()
+        expected = trees[0].total_counters()
+        expected.add(trees[1].total_counters())
+        assert merged.total_counters() == expected
+        assert expected.packets == sum(record.packets for record in packet_stream_small)
         assert len(merged) <= config.max_nodes
 
 

@@ -1,5 +1,6 @@
 """Tests for summary serialization and the query-helper layer."""
 
+import random
 import struct
 
 import pytest
@@ -199,6 +200,31 @@ class TestBinaryFormatContract:
     def test_header_rejects_torn_body(self, tree):
         with pytest.raises(SerializationError, match="truncated"):
             summary_header(to_bytes(tree)[:-1])
+
+    @pytest.mark.parametrize("compress", [True, False])
+    def test_corrupt_bodies_raise_only_serialization_errors(
+        self, packet_stream_small, compress
+    ):
+        """Seeded fuzz: byte mutations behind a valid header stay typed.
+
+        Collectors drop a summary on ``SerializationError`` and retry on
+        anything else, so an untyped escape would wedge their backlog.
+        """
+        tree = Flowtree(SCHEMA_4F, FlowtreeConfig(max_nodes=64))
+        tree.add_batch(packet_stream_small[:800])
+        payload = to_bytes(tree, compress=compress)
+        body_start = len(MAGIC) + 6
+        rng = random.Random(31)
+        rejected = 0
+        for _ in range(300):
+            mutated = bytearray(payload)
+            for _ in range(rng.randint(1, 4)):
+                mutated[rng.randrange(body_start, len(mutated))] = rng.randrange(256)
+            try:
+                from_bytes(bytes(mutated))
+            except SerializationError:
+                rejected += 1
+        assert rejected > 0
 
     def test_encoding_is_independent_of_insertion_order(self):
         keys = [

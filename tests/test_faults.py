@@ -8,6 +8,8 @@ zero-overhead requirement that a plan with nothing armed changes nothing.
 The end-to-end combinations live in ``tests/test_chaos.py``.
 """
 
+import struct
+
 import pytest
 
 from helpers import make_timed_record
@@ -19,6 +21,7 @@ from repro.core.errors import (
     FaultError,
     FlowtreeError,
 )
+from repro.core.serialization import FORMAT_VERSION, MAGIC, summary_header
 from repro.distributed import (
     FAULT_COLLECTOR_KILL,
     FAULT_STORE_COMMIT,
@@ -249,7 +252,20 @@ class TestCollectorKillSeam:
         assert collector.messages_processed == baseline.messages_processed
         assert to_bytes(collector.merged()) == to_bytes(baseline.merged())
 
-    def test_corrupt_payload_is_counted_and_dropped(self):
+    @pytest.mark.parametrize(
+        "poison",
+        [
+            b"\xff not a summary",
+            # Valid header, body that is not a deflate stream.
+            MAGIC + struct.pack(">BBI", FORMAT_VERSION, 1, 9) + b"\x00garbage!",
+            # Valid uncompressed header, schema name that is not UTF-8.
+            MAGIC + struct.pack(">BBI", FORMAT_VERSION, 0, 5) + b"\x04\xff\xfe\xfd\xfc",
+        ],
+        ids=["bad-magic", "garbage-deflate", "garbage-strings"],
+    )
+    def test_corrupt_payload_is_counted_and_dropped(self, poison):
+        if poison.startswith(MAGIC):
+            summary_header(poison)  # only the body gives these away
         transport = SimulatedTransport()
         collector = Collector(
             SCHEMA_2F_SRC_DST, transport, config=CollectorConfig(bin_width=10.0)
@@ -257,7 +273,7 @@ class TestCollectorKillSeam:
         transport.register("edge-1")
         transport.send(
             "edge-1", collector.name,
-            SummaryMessage("edge-1", 0, 0.0, 10.0, "full", b"\xff not a summary"),
+            SummaryMessage("edge-1", 0, 0.0, 10.0, "full", poison),
         )
         good = _tree([(("10.0.0.1", "192.0.2.1"), 2)])
         transport.send(

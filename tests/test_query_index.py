@@ -21,7 +21,6 @@ from helpers import SimpleRecord, force_incremental, force_rebuild, key4, make_r
 from repro.core import (
     Flowtree,
     FlowtreeConfig,
-    ShardedFlowtree,
     children_of,
     decompose,
     drill_down,
@@ -273,22 +272,6 @@ class TestQueryApiContracts:
         key = FlowKey.from_record(SCHEMA_4F, _record(1, 1, 1, 80, 3))
         assert tree.estimate(key) == tree.estimate(key)
         assert tree.estimate(key) != tree.estimate(FlowKey.root(SCHEMA_4F))
-
-
-class TestShardedEstimates:
-    @settings(max_examples=10, deadline=None)
-    @given(records=records_strategy, config=config_strategy)
-    def test_sharded_estimate_many_matches_per_key(self, records, config):
-        sharded = ShardedFlowtree(SCHEMA_4F, config, num_shards=4)
-        sharded.add_batch(records)
-        keys = _query_keys(records)
-        answers = sharded.estimate_many(keys)
-        for key in keys:
-            single = sharded.estimate(key)
-            assert answers[key].counters == single.counters
-            assert answers[key].exact_node == single.exact_node
-            assert answers[key].from_descendants == single.from_descendants
-            assert answers[key].from_ancestor == single.from_ancestor
 
 
 class TestMergeMany:
