@@ -6,21 +6,25 @@ The contract of the fast path is behavioural, not just statistical:
   the same bytes as a per-record ``add_record`` loop when compaction is
   disabled — regardless of batch size — and must stay byte-identical when
   both paths cross a compaction boundary at the same point in the stream;
+* ``preaggregate_records`` must count every record exactly once, per
+  signature, in first-seen order;
 * trees built from disjoint parts of a stream and combined with the
   paper's merge operator must reproduce the tree built from the whole
-  stream.
+  stream, and conserve its totals under a node budget.
 """
 
 import os
 import subprocess
 import sys
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import SimpleRecord, make_record
 
-from repro.core import Flowtree, FlowtreeConfig, to_bytes
+from repro.core import Counters, Flowtree, FlowtreeConfig, merge_all, to_bytes
+from repro.core.flowtree import preaggregate_records
 from repro.core.key import FlowKey
 from repro.features.schema import SCHEMA_1F_SRC, SCHEMA_2F_SRC_DST, SCHEMA_4F
 
@@ -133,6 +137,60 @@ class TestAddBatchEquivalence:
         aggregated.add_aggregated(items)
         assert to_bytes(aggregated) == to_bytes(direct)
 
+    def test_every_ingest_path_agrees_on_bytes_and_count(self, packet_stream_small):
+        records = packet_stream_small[:600]
+        config = FlowtreeConfig(max_nodes=None)
+        by_batch = Flowtree(SCHEMA_4F, config)
+        assert by_batch.add_batch(records) == len(records)
+        mixed = Flowtree(SCHEMA_4F, config)
+        assert mixed.add_records(records[:200]) == 200
+        assert mixed.add_batch(records[200:400], batch_size=64) == 200
+        for record in records[400:]:
+            mixed.add_record(record)
+        assert mixed.stats.updates == by_batch.stats.updates == len(records)
+        assert to_bytes(mixed) == to_bytes(by_batch)
+
+    @pytest.mark.parametrize("batch_size", [0, 1, 64, 512, 2048])
+    def test_bounded_batch_conserves_totals_for_any_batch_size(
+        self, packet_stream_small, batch_size
+    ):
+        config = FlowtreeConfig(max_nodes=200, victim_batch=16)
+        loop_tree = Flowtree(SCHEMA_4F, config)
+        loop_tree.add_records(packet_stream_small)
+        batch_tree = Flowtree(SCHEMA_4F, config)
+        assert batch_tree.add_batch(packet_stream_small, batch_size=batch_size) == len(
+            packet_stream_small
+        )
+        batch_tree.validate()
+        assert batch_tree.stats.updates == len(packet_stream_small)
+        assert batch_tree.total_counters() == loop_tree.total_counters()
+        assert len(batch_tree) <= config.max_nodes + max(config.victim_batch,
+                                                         config.max_nodes // 16)
+
+    @pytest.mark.parametrize("max_nodes", [None, 64])
+    def test_pending_signatures_match_keyed_items(self, packet_stream_small, max_nodes):
+        """``add_aggregated(pending=)`` charges what the keyed items would.
+
+        With a 64-node budget the 5 000-record batch lands on the rebuild
+        side, so the raw-signature fold is what is compared.
+        """
+        records = packet_stream_small
+        config = FlowtreeConfig(max_nodes=max_nodes)
+        pending = preaggregate_records(records, SCHEMA_4F.signature_of, config.count_bytes)
+        items = [
+            (FlowKey.from_record(SCHEMA_4F, sample), packets, byte_count, flows)
+            for packets, byte_count, flows, sample in pending.values()
+        ]
+        by_items = Flowtree(SCHEMA_4F, config)
+        by_items.add_aggregated(items, record_count=len(records))
+        by_pending = Flowtree(SCHEMA_4F, config)
+        by_pending.add_aggregated((), record_count=len(records), pending=pending)
+        by_pending.validate()
+        assert by_pending.stats.updates == by_items.stats.updates == len(records)
+        assert by_pending.stats.rebuilds == by_items.stats.rebuilds
+        assert (by_pending.stats.rebuilds >= 1) == (max_nodes is not None)
+        assert to_bytes(by_pending) == to_bytes(by_items)
+
     def test_signature_matches_key_identity(self):
         a = make_record(src="10.0.0.1", sport=1111)
         b = make_record(src="10.0.0.1", sport=1111, packets=9, bytes=9_999)
@@ -144,6 +202,41 @@ class TestAddBatchEquivalence:
         )
         # Single-field schemas give a bare value, still usable as a dict key.
         assert SCHEMA_1F_SRC.signature_of(a) == a.src_ip
+
+
+class TestPreaggregate:
+    def test_counts_every_record_once_per_signature(self, packet_stream_small):
+        chunk = packet_stream_small[:500]
+        pending = preaggregate_records(chunk, SCHEMA_4F.signature_of, True)
+        assert sum(flows for _, _, flows, _ in pending.values()) == len(chunk)
+        assert sum(packets for packets, _, _, _ in pending.values()) == sum(
+            record.packets for record in chunk
+        )
+        assert sum(byte_count for _, byte_count, _, _ in pending.values()) == sum(
+            record.bytes for record in chunk
+        )
+        keys = {FlowKey.from_record(SCHEMA_4F, record) for record in chunk}
+        assert len(pending) == len(keys)
+        for signature, (_, _, _, sample) in pending.items():
+            assert SCHEMA_4F.signature_of(sample) == signature
+
+    def test_first_seen_order_is_kept(self):
+        records = [make_record(src=f"10.3.0.{i % 5 + 1}") for i in (3, 1, 3, 4, 0, 1, 2)]
+        pending = preaggregate_records(records, SCHEMA_4F.signature_of, True)
+        first_seen = []
+        for record in records:
+            signature = SCHEMA_4F.signature_of(record)
+            if signature not in first_seen:
+                first_seen.append(signature)
+        assert list(pending) == first_seen
+
+    def test_uncounted_bytes_stay_zero(self, packet_stream_small):
+        chunk = packet_stream_small[:200]
+        pending = preaggregate_records(chunk, SCHEMA_4F.signature_of, False)
+        assert all(byte_count == 0 for _, byte_count, _, _ in pending.values())
+        assert sum(packets for packets, _, _, _ in pending.values()) == sum(
+            record.packets for record in chunk
+        )
 
 
 class TestMergeLaw:
@@ -174,6 +267,51 @@ class TestMergeLaw:
         generalized = probe.generalize_feature(0).generalize_feature(3)
         for key in (FlowKey.root(SCHEMA_4F), probe, generalized):
             assert merged.estimate(key) == single.estimate(key)
+
+    @settings(max_examples=15, deadline=None)
+    @given(records=records_strategy, parts=st.sampled_from([2, 4, 7]))
+    def test_merging_key_partitions_reproduces_the_single_tree(self, records, parts):
+        """Same law when each key lives in exactly one part, as with sites."""
+        config = FlowtreeConfig(max_nodes=None)
+        single = Flowtree(SCHEMA_4F, config)
+        single.add_batch(records)
+        trees = [Flowtree(SCHEMA_4F, config) for _ in range(parts)]
+        for record in records:
+            trees[(record.src_ip + record.src_port) % parts].add_record(record)
+        assert to_bytes(merge_all(trees)) == to_bytes(single)
+
+    @pytest.mark.parametrize("parts", [1, 2, 4, 8])
+    def test_bounded_parts_conserve_totals_within_budget(self, packet_stream_small, parts):
+        config = FlowtreeConfig(max_nodes=400)
+        single = Flowtree(SCHEMA_4F, config)
+        single.add_batch(packet_stream_small)
+        trees = []
+        for index in range(parts):
+            tree = Flowtree(SCHEMA_4F, config)
+            tree.add_batch(packet_stream_small[index::parts])
+            tree.validate()
+            trees.append(tree)
+        merged = Flowtree(SCHEMA_4F, config)
+        merged.merge_many(trees)
+        merged.validate()
+        assert len(merged) <= config.max_nodes
+        assert merged.total_counters() == single.total_counters()
+        assert merged.stats.merged_trees == parts
+
+    def test_estimates_add_across_parts(self, packet_stream_small):
+        config = FlowtreeConfig(max_nodes=None)
+        trees = []
+        for index in range(4):
+            tree = Flowtree(SCHEMA_4F, config)
+            tree.add_batch(packet_stream_small[index::4])
+            trees.append(tree)
+        merged = merge_all(trees)
+        probe = FlowKey.from_record(SCHEMA_4F, packet_stream_small[0])
+        for key in (FlowKey.root(SCHEMA_4F), probe, probe.generalize_feature(1)):
+            expected = Counters()
+            for tree in trees:
+                expected.add(tree.estimate(key).counters)
+            assert merged.estimate(key).counters == expected
 
 
 _PLACEMENT_SCRIPT = """

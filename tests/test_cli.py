@@ -51,6 +51,34 @@ class TestCommands:
         assert 1 < tree.node_count() <= 1_000
         assert tree.total_counters().packets == 8_000
 
+    @pytest.mark.parametrize("max_nodes", [100, 500, 2_000])
+    def test_build_budget_keeps_totals_and_budget(self, trace_csv, tmp_path, max_nodes):
+        path = tmp_path / f"budget-{max_nodes}.ft"
+        assert main(["build", "--max-nodes", str(max_nodes), str(trace_csv), str(path)]) == 0
+        tree = from_bytes(path.read_bytes())
+        tree.validate()
+        assert tree.config.max_nodes == max_nodes
+        assert len(tree) <= max_nodes
+        assert tree.total_counters().packets == 8_000
+
+    @pytest.mark.parametrize("batch_size", [0, 1, 4_096])
+    def test_build_batch_size_keeps_totals(self, trace_csv, tmp_path, capsys, batch_size):
+        path = tmp_path / f"batch-{batch_size}.ft"
+        assert main(["build", "--max-nodes", "500", "--batch-size", str(batch_size),
+                     str(trace_csv), str(path)]) == 0
+        rows = len(trace_csv.read_text().splitlines()) - 1
+        assert f"summarized {rows} records" in capsys.readouterr().out
+        tree = from_bytes(path.read_bytes())
+        tree.validate()
+        assert len(tree) <= 500
+        assert tree.total_counters().packets == 8_000
+
+    def test_build_is_deterministic(self, trace_csv, tmp_path):
+        paths = [tmp_path / "a.ft", tmp_path / "b.ft"]
+        for path in paths:
+            assert main(["build", "--max-nodes", "300", str(trace_csv), str(path)]) == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
     def test_build_has_no_workers_flag(self, trace_csv, tmp_path):
         with pytest.raises(SystemExit):
             main(["build", "--workers", "2", str(trace_csv), str(tmp_path / "x.ft")])
