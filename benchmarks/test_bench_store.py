@@ -2,23 +2,22 @@
 
 The paper's headline storage claim (>95 % reduction vs. raw capture) is
 only operational if the summaries actually persist.  PR 5 added pluggable
-collector storage (memory / segment-file / SQLite, Flowyager-style
+collector storage (memory / segment-file, a Flowyager-style
 tree-summary store per (site, bin)); this benchmark pins two things:
 
 * **bounded slowdown** — ingesting a multi-bin summary stream and
-  answering a batched range-query workload against a *durable* backend
+  answering a batched range-query workload against the *durable* backend
   (every message committed: payload + diff baseline + dedup guard) stays
-  within a bounded factor of the in-memory collector.  The claim ratios
-  ``rel_store_file_ratio`` / ``rel_store_sqlite_ratio`` (memory time over
-  backend time, median of 3 interleaved runs) feed CI's cross-run
-  regression gate.
+  within a bounded factor of the in-memory collector.  The claim ratio
+  ``rel_store_file_ratio`` (memory time over file-store time, median of 3
+  interleaved runs) feeds CI's cross-run regression gate.
 * **size accounting** — bytes on the backend equal the summary sizes the
   :class:`~repro.analysis.storage.StorageReport` reduction claim is
-  stated over: per-bin stored payloads are byte-identical across all
-  three backends and sum to the store's reported payload footprint, and
+  stated over: per-bin stored payloads are byte-identical across both
+  backends and sum to the store's reported payload footprint, and
   the real file footprint is reported alongside.
 
-All backends must answer the query workload identically — the timing
+Both backends must answer the query workload identically — the timing
 comparison is only meaningful between equivalent answers.
 """
 
@@ -113,10 +112,10 @@ def test_claim_store_durable_within_bounded_factor(benchmark):
     assert len(messages) >= TARGET_BINS
 
     def run():
-        times = {"memory": [], "file": [], "sqlite": []}
+        times = {"memory": [], "file": []}
         results = {}
         for _ in range(3):
-            for kind in ("memory", "file", "sqlite"):
+            for kind in ("memory", "file"):
                 with tempfile.TemporaryDirectory() as tmp:
                     path = None if kind == "memory" else str(Path(tmp) / "store")
                     elapsed, totals, merged, footprint, payloads = _drive(
@@ -128,17 +127,16 @@ def test_claim_store_durable_within_bounded_factor(benchmark):
 
     medians, results = benchmark.pedantic(run, rounds=1, iterations=1)
 
-    # Every backend answers the workload identically, byte for byte.
+    # Both backends answer the workload identically, byte for byte.
     mem_totals, mem_merged, _, mem_payloads = results["memory"]
-    for kind in ("file", "sqlite"):
-        totals, merged, _, payloads = results[kind]
-        assert totals == mem_totals, f"{kind} range-query answers diverged"
-        assert merged == mem_merged, f"{kind} merged summary diverged"
-        assert payloads == mem_payloads, f"{kind} per-bin payloads diverged"
+    totals, merged, _, payloads = results["file"]
+    assert totals == mem_totals, "file range-query answers diverged"
+    assert merged == mem_merged, "file merged summary diverged"
+    assert payloads == mem_payloads, "file per-bin payloads diverged"
 
     # Bytes on the backend == the sizes the storage-reduction claim uses.
     rows = []
-    for kind in ("memory", "file", "sqlite"):
+    for kind in ("memory", "file"):
         _, _, footprint, payloads = results[kind]
         stored = sum(len(payload) for payload in payloads.values())
         assert footprint.payload_bytes == stored
@@ -168,9 +166,8 @@ def test_claim_store_durable_within_bounded_factor(benchmark):
     )
     print(render_table(rows))
 
-    for kind in ("file", "sqlite"):
-        slowdown = medians[kind] / medians["memory"]
-        assert slowdown <= MAX_SLOWDOWN, (
-            f"{kind} store took {slowdown:.1f}x the in-memory collector "
-            f"(bound: {MAX_SLOWDOWN}x)"
-        )
+    slowdown = medians["file"] / medians["memory"]
+    assert slowdown <= MAX_SLOWDOWN, (
+        f"file store took {slowdown:.1f}x the in-memory collector "
+        f"(bound: {MAX_SLOWDOWN}x)"
+    )

@@ -12,7 +12,7 @@ Operator-facing entry points over the library:
 * ``flowtree merge`` / ``flowtree diff`` — combine summary files,
 * ``flowtree drilldown`` — automated investigation below a key,
 * ``flowtree collect`` — replay a capture through a daemon into a
-  collector with a chosen storage backend (``--store memory|file|sqlite``)
+  collector with a chosen storage backend (``--store memory|file``)
   and transport (``--transport memory|tcp``),
 * ``flowtree store-info`` — reopen a durable collector store and report
   its sites, bins and footprint,
@@ -43,7 +43,7 @@ from repro.devtools.lint.engine import main as _flowlint_main
 from repro.distributed.collector import Collector, CollectorConfig, stored_identity
 from repro.distributed.daemon import FlowtreeDaemon
 from repro.distributed.net import CollectorServer, SiteClient
-from repro.distributed.stores import STORE_KINDS, open_store
+from repro.distributed.stores import STORE_KINDS, SegmentFileStore, holds_segment_store
 from repro.distributed.supervisor import Supervisor, SupervisorConfig
 from repro.distributed.transport import SimulatedTransport, Transport
 from repro.features.schema import schema_by_name
@@ -125,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     collect.add_argument("--store", choices=sorted(STORE_KINDS), default="memory",
                          help="collector storage backend")
     collect.add_argument("--store-path", type=Path, default=None,
-                         help="directory (file store) or database file (sqlite store)")
+                         help="directory of the file store")
     collect.add_argument("--retain-bins", type=int, default=None,
                          help="keep only the newest N bins per site")
     collect.add_argument("--transport", choices=("memory", "tcp"), default="memory",
@@ -139,10 +139,11 @@ def build_parser() -> argparse.ArgumentParser:
                               "and report its health snapshot")
     collect.add_argument("input", type=Path)
 
+    # No abbreviations: ``--store`` would otherwise be read as ``--store-path``.
     sinfo = subparsers.add_parser(
-        "store-info", help="reopen a durable collector store and describe it"
+        "store-info", help="reopen a durable collector store and describe it",
+        allow_abbrev=False,
     )
-    sinfo.add_argument("--store", choices=("file", "sqlite"), required=True)
     sinfo.add_argument("--store-path", type=Path, required=True)
 
     lint = subparsers.add_parser(
@@ -364,16 +365,19 @@ def _cmd_collect(args: argparse.Namespace) -> int:
 
 
 def _cmd_store_info(args: argparse.Namespace) -> int:
-    store = open_store(args.store, args.store_path)
+    if not holds_segment_store(args.store_path):
+        raise ValueError(f"{args.store_path} does not hold a collector store")
+    store = SegmentFileStore(args.store_path)
     bin_width, schema_name = stored_identity(store)
     if bin_width is None or schema_name is None:
+        store.close()
         raise ValueError(f"{args.store_path} does not hold a collector store")
     transport = SimulatedTransport()
     collector = Collector(
         schema_by_name(schema_name),
         transport,
         config=CollectorConfig(
-            bin_width=bin_width, store=args.store, store_path=str(args.store_path)
+            bin_width=bin_width, store="file", store_path=str(args.store_path)
         ),
         store=store,
     )

@@ -52,7 +52,6 @@ from repro.distributed.supervisor import (
 from repro.distributed.stores import (
     MemoryStore,
     SegmentFileStore,
-    SQLiteStore,
     TimeSeriesStore,
     open_store,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "TimeSeriesStore",
     "MemoryStore",
     "SegmentFileStore",
-    "SQLiteStore",
     "open_store",
     "DistributedQueryEngine",
     "Deployment",

@@ -8,8 +8,8 @@ summaries over any set of sites and time range, per-site breakdowns and the
 inputs the alerting layer needs.
 
 Storage is pluggable (:class:`CollectorConfig.store`): the default keeps
-bins in process memory, the ``file`` and ``sqlite`` backends persist every
-ingested message durably — bin payload, diff-decoder baseline and dedup
+bins in process memory, the ``file`` backend persists every ingested
+message durably — bin payload, diff-decoder baseline and dedup
 guard commit atomically per message — so a killed collector comes back
 with :meth:`Collector.reopen` answering queries byte-identically to an
 uninterrupted one.  Ingestion is idempotent under message replay (daemon
@@ -78,11 +78,10 @@ class CollectorConfig:
         bin_width: width of the collector's time bins in seconds; incoming
             summaries must match it (see :meth:`Collector.ingest`).
         storage: Flowtree configuration applied to per-bin summaries.
-        store: storage backend — ``"memory"`` (default, process-local),
-            ``"file"`` (append-only segments) or ``"sqlite"`` (WAL-mode
-            database); the durable kinds need ``store_path``.
-        store_path: directory (``file``) or database file (``sqlite``).
-        cache_bins: LRU hot-bin cache size of the durable backends.
+        store: storage backend — ``"memory"`` (default, process-local) or
+            ``"file"`` (append-only segments, durable; needs ``store_path``).
+        store_path: directory of the ``file`` store.
+        cache_bins: LRU hot-bin cache size of the ``file`` store.
         retain_bins: keep only the newest N bins per site, evicting older
             ones from the backend as ingestion advances (``None`` = keep
             everything).

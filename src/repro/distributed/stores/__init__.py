@@ -3,7 +3,7 @@
 The paper's headline storage claim (>95 % reduction vs. raw capture) only
 means something if summaries persist somewhere.  This package provides
 the :class:`~repro.distributed.stores.base.TimeSeriesStore` interface and
-three backends behind :class:`~repro.distributed.timeseries.FlowtreeTimeSeries`
+two backends behind :class:`~repro.distributed.timeseries.FlowtreeTimeSeries`
 and :class:`~repro.distributed.collector.Collector`:
 
 ========== ============ ======================================================
@@ -11,10 +11,9 @@ backend    durable      shape
 ========== ============ ======================================================
 ``memory`` no           live trees in process dicts (pre-store behavior)
 ``file``   yes          append-only segments + atomically replaced index
-``sqlite`` yes          one row per (site, bin), WAL mode
 ========== ============ ======================================================
 
-Both durable backends share an LRU hot-bin cache with lazy
+The ``file`` backend reads through an LRU hot-bin cache with lazy
 deserialization, so range queries only materialize the bins they touch.
 """
 
@@ -27,7 +26,6 @@ from repro.core.errors import ConfigurationError
 from repro.distributed.stores.base import (
     DEFAULT_CACHE_BINS,
     STORE_KINDS,
-    CachedTreeStore,
     StoreStats,
     TimeSeriesStore,
     pack_float,
@@ -38,8 +36,7 @@ from repro.distributed.stores.base import (
     unpack_ints,
 )
 from repro.distributed.stores.memory import MemoryStore
-from repro.distributed.stores.segment import SegmentFileStore
-from repro.distributed.stores.sqlite import SQLiteStore
+from repro.distributed.stores.segment import SegmentFileStore, holds_segment_store
 
 
 def open_store(
@@ -49,9 +46,8 @@ def open_store(
 ) -> TimeSeriesStore:
     """Open (creating or reopening) a time-series store of the given kind.
 
-    ``path`` is a directory for ``file`` and a database file for
-    ``sqlite``; it is required for both durable kinds and rejected for
-    ``memory``.
+    ``path`` is the ``file`` store's directory; it is required for
+    ``file`` and rejected for ``memory``.
     """
     if kind not in STORE_KINDS:
         raise ConfigurationError(
@@ -63,17 +59,14 @@ def open_store(
         return MemoryStore()
     if path is None:
         raise ConfigurationError(f"the {kind!r} store needs a path")
-    if kind == "file":
-        return SegmentFileStore(path, cache_bins=cache_bins)
-    return SQLiteStore(path, cache_bins=cache_bins)
+    return SegmentFileStore(path, cache_bins=cache_bins)
 
 
 __all__ = [
     "TimeSeriesStore",
-    "CachedTreeStore",
     "MemoryStore",
     "SegmentFileStore",
-    "SQLiteStore",
+    "holds_segment_store",
     "StoreStats",
     "open_store",
     "STORE_KINDS",

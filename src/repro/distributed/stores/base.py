@@ -2,19 +2,16 @@
 
 A :class:`TimeSeriesStore` persists one serialized Flowtree per
 ``(site, bin_index)`` plus a small metadata key/value space (bin origins,
-diff-decoder baselines, dedup guards).  Three backends implement it:
+diff-decoder baselines, dedup guards).  Two backends implement it:
 
 * :class:`~repro.distributed.stores.memory.MemoryStore` — committed trees
   held in process memory (the default),
-* :class:`~repro.distributed.stores.segment.SegmentFileStore` — append-only
-  segment files plus an atomically-replaced index,
-* :class:`~repro.distributed.stores.sqlite.SQLiteStore` — one row per bin
-  in a WAL-mode SQLite database.
-
-The durable backends share :class:`CachedTreeStore`: an LRU *hot-bin cache*
-of deserialized trees, so repeated queries against the same bins never
-re-parse, and reads of untouched bins never materialize at all (range
-merges only deserialize the bins the range selects).
+* :class:`~repro.distributed.stores.segment.SegmentFileStore` — the durable
+  one: append-only segment files plus an atomically-replaced index, read
+  through an LRU *hot-bin cache* of deserialized trees, so repeated
+  queries against the same bins never re-parse, and reads of untouched
+  bins never materialize at all (range merges only deserialize the bins
+  the range selects).
 
 The one invariant every backend keeps: a store holds *committed* state
 only.  :meth:`TimeSeriesStore.put` is the commit point and the only way a
@@ -30,7 +27,6 @@ from __future__ import annotations
 
 import struct
 from abc import ABC, abstractmethod
-from collections import OrderedDict
 from dataclasses import dataclass
 from types import TracebackType
 from typing import Dict, Iterable, List, Optional, Set, Tuple
@@ -43,14 +39,12 @@ from repro.core.serialization import (
     decode_zigzag,
     encode_varint,
     encode_zigzag,
-    from_bytes,
-    to_bytes,
 )
 
 DEFAULT_CACHE_BINS = 64
 
 #: Valid ``--store`` / :attr:`CollectorConfig.store` values.
-STORE_KINDS = ("memory", "file", "sqlite")
+STORE_KINDS = ("memory", "file")
 
 
 # -- metadata value codecs -------------------------------------------------------
@@ -139,7 +133,7 @@ class TimeSeriesStore(ABC):
     state and are never mutated by callers.
     """
 
-    #: Short backend identifier (``memory`` / ``file`` / ``sqlite``).
+    #: Short backend identifier (``memory`` / ``file``).
     backend: str = "abstract"
     #: Whether the backend survives process restarts.
     durable: bool = False
@@ -251,102 +245,3 @@ class TimeSeriesStore(ABC):
     ) -> None:
         self.close()
 
-
-class CachedTreeStore(TimeSeriesStore):
-    """Shared LRU hot-bin cache + lazy deserialization for durable backends.
-
-    Subclasses implement the raw payload/metadata primitives
-    (``_write_payload`` & friends); this class decides *when* payloads are
-    (de)serialized: reads materialize on first touch and stay hot, and
-    :meth:`put` writes through before the tree enters the cache — so the
-    cache only ever holds committed trees and eviction just drops them.
-    """
-
-    durable = True
-
-    def __init__(self, cache_bins: int = DEFAULT_CACHE_BINS) -> None:
-        super().__init__()
-        if cache_bins < 1:
-            raise ValueError(f"cache_bins must be positive, got {cache_bins}")
-        self._cache_bins = cache_bins
-        self._cache: "OrderedDict[Tuple[str, int], Flowtree]" = OrderedDict()
-        self._closed = False
-
-    # -- backend primitives (subclass responsibility) ------------------------------
-
-    @abstractmethod
-    def _write_payload(
-        self, site: str, bin_index: int, payload: bytes, meta: Dict[str, Optional[bytes]]
-    ) -> None:
-        """Durably commit one bin payload plus metadata updates, atomically."""
-
-    @abstractmethod
-    def _read_payload(self, site: str, bin_index: int) -> Optional[bytes]:
-        """Read one bin payload back, or ``None``."""
-
-    @abstractmethod
-    def _delete_bins(self, site: str, bin_index: int) -> int:
-        """Drop the backend's record of bins below ``bin_index``."""
-
-    @abstractmethod
-    def _close_backend(self) -> None:
-        """Release backend resources."""
-
-    # -- TimeSeriesStore implementation ---------------------------------------------
-
-    def put(
-        self,
-        site: str,
-        bin_index: int,
-        tree: Flowtree,
-        meta: Optional[Dict[str, bytes]] = None,
-        payload: Optional[bytes] = None,
-    ) -> None:
-        self._check_commit_fault(site, bin_index)
-        if payload is None:
-            payload = to_bytes(tree)
-        updates: Dict[str, Optional[bytes]] = {
-            key: value for key, value in (meta or {}).items()
-        }
-        self._write_payload(site, bin_index, payload, updates)
-        self._cache_insert(site, bin_index, tree)
-        self.stats.puts += 1
-
-    def get(self, site: str, bin_index: int) -> Optional[Flowtree]:
-        tree = self._cache.get((site, bin_index))
-        if tree is not None:
-            self._cache.move_to_end((site, bin_index))
-            self.stats.cache_hits += 1
-            return tree
-        payload = self._read_payload(site, bin_index)
-        if payload is None:
-            return None
-        tree = from_bytes(payload)
-        self.stats.loads += 1
-        self._cache_insert(site, bin_index, tree)
-        return tree
-
-    def get_bytes(self, site: str, bin_index: int) -> Optional[bytes]:
-        return self._read_payload(site, bin_index)
-
-    def delete_before(self, site: str, bin_index: int) -> int:
-        for key in [k for k in self._cache if k[0] == site and k[1] < bin_index]:
-            del self._cache[key]
-        return self._delete_bins(site, bin_index)
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        self._cache.clear()
-        self._close_backend()
-
-    # -- cache internals --------------------------------------------------------------
-
-    def _cache_insert(self, site: str, bin_index: int, tree: Flowtree) -> None:
-        key = (site, bin_index)
-        self._cache[key] = tree
-        self._cache.move_to_end(key)
-        while len(self._cache) > self._cache_bins:
-            self._cache.popitem(last=False)
-            self.stats.evictions += 1

@@ -26,6 +26,11 @@ indexed offsets only, and every payload is CRC-checked on read.  Replaced
 and evicted bins leave dead bytes behind in their segments (append-only
 stores reclaim them by segment compaction, which this reproduction does
 not need at its scale); the index is always the source of truth.
+
+Reads go through an LRU hot-bin cache of deserialized trees: a bin
+materializes on first touch and stays hot, and :meth:`SegmentFileStore.put`
+writes through before the tree enters the cache — so the cache only ever
+holds committed trees and eviction just drops them.
 """
 
 from __future__ import annotations
@@ -34,13 +39,15 @@ import base64
 import json
 import os
 import zlib
+from collections import OrderedDict
 from pathlib import Path
 from typing import BinaryIO, Dict, List, Optional, Tuple
 
 from repro.core.errors import SerializationError
-from repro.core.serialization import encode_varint, encode_zigzag
+from repro.core.flowtree import Flowtree
+from repro.core.serialization import encode_varint, encode_zigzag, from_bytes, to_bytes
 from repro.distributed.faults import FAULT_STORE_TORN_WRITE
-from repro.distributed.stores.base import DEFAULT_CACHE_BINS, CachedTreeStore
+from repro.distributed.stores.base import DEFAULT_CACHE_BINS, TimeSeriesStore
 
 RECORD_MAGIC = b"FTSG"
 INDEX_FORMAT = "flowtree-segment-index"
@@ -60,10 +67,20 @@ def _fsync_directory(path: Path) -> None:
         os.close(fd)
 
 
-class SegmentFileStore(CachedTreeStore):
+def holds_segment_store(path: os.PathLike) -> bool:
+    """Whether ``path`` holds a segment store (its ``index.json`` exists).
+
+    Answers without creating anything, unlike opening a
+    :class:`SegmentFileStore`.
+    """
+    return (Path(path) / "index.json").is_file()
+
+
+class SegmentFileStore(TimeSeriesStore):
     """Durable store over append-only segments plus an atomic index file."""
 
     backend = "file"
+    durable = True
 
     def __init__(
         self,
@@ -77,7 +94,9 @@ class SegmentFileStore(CachedTreeStore):
         durability); the default flushes user-space buffers per commit and
         fsyncs on :meth:`flush`/:meth:`close`, which is what process-crash
         recovery needs."""
-        super().__init__(cache_bins=cache_bins)
+        super().__init__()
+        if cache_bins < 1:
+            raise ValueError(f"cache_bins must be positive, got {cache_bins}")
         if segment_max_bytes < 1:
             raise ValueError(f"segment_max_bytes must be positive, got {segment_max_bytes}")
         self._path = Path(path)
@@ -90,7 +109,60 @@ class SegmentFileStore(CachedTreeStore):
         self._active_segment = 1
         self._writer: Optional[BinaryIO] = None
         self._readers: Dict[int, BinaryIO] = {}
+        self._cache_bins = cache_bins
+        self._cache: "OrderedDict[Tuple[str, int], Flowtree]" = OrderedDict()
+        self._closed = False
         self._load_index()
+
+    # -- bins ---------------------------------------------------------------------
+
+    def put(
+        self,
+        site: str,
+        bin_index: int,
+        tree: Flowtree,
+        meta: Optional[Dict[str, bytes]] = None,
+        payload: Optional[bytes] = None,
+    ) -> None:
+        self._check_commit_fault(site, bin_index)
+        if payload is None:
+            payload = to_bytes(tree)
+        updates: Dict[str, Optional[bytes]] = {
+            key: value for key, value in (meta or {}).items()
+        }
+        self._write_payload(site, bin_index, payload, updates)
+        self._cache_insert(site, bin_index, tree)
+        self.stats.puts += 1
+
+    def get(self, site: str, bin_index: int) -> Optional[Flowtree]:
+        tree = self._cache.get((site, bin_index))
+        if tree is not None:
+            self._cache.move_to_end((site, bin_index))
+            self.stats.cache_hits += 1
+            return tree
+        payload = self._read_payload(site, bin_index)
+        if payload is None:
+            return None
+        tree = from_bytes(payload)
+        self.stats.loads += 1
+        self._cache_insert(site, bin_index, tree)
+        return tree
+
+    def get_bytes(self, site: str, bin_index: int) -> Optional[bytes]:
+        return self._read_payload(site, bin_index)
+
+    def delete_before(self, site: str, bin_index: int) -> int:
+        for key in [k for k in self._cache if k[0] == site and k[1] < bin_index]:
+            del self._cache[key]
+        return self._delete_bins(site, bin_index)
+
+    def _cache_insert(self, site: str, bin_index: int, tree: Flowtree) -> None:
+        key = (site, bin_index)
+        self._cache[key] = tree
+        self._cache.move_to_end(key)
+        while len(self._cache) > self._cache_bins:
+            self._cache.popitem(last=False)
+            self.stats.evictions += 1
 
     # -- index ------------------------------------------------------------------
 
@@ -180,6 +252,7 @@ class SegmentFileStore(CachedTreeStore):
     def _write_payload(
         self, site: str, bin_index: int, payload: bytes, meta: Dict[str, Optional[bytes]]
     ) -> None:
+        """Durably commit one bin payload plus metadata updates, atomically."""
         self._roll_if_needed()
         writer = self._open_writer()
         site_raw = site.encode("utf-8")
@@ -260,7 +333,11 @@ class SegmentFileStore(CachedTreeStore):
         _fsync_directory(self._segments_dir)
         _fsync_directory(self._path)
 
-    def _close_backend(self) -> None:
+    def close(self) -> None:
+        if self._closed:
+            return
+        self._closed = True
+        self._cache.clear()
         self.flush()
         if self._writer is not None:
             self._writer.close()

@@ -8,7 +8,7 @@ merging the bins of the range (the merge operator is exactly what makes
 this cheap).
 
 Bins live behind a pluggable :class:`~repro.distributed.stores.base.TimeSeriesStore`
-(in-memory by default; segment-file and SQLite backends persist across
+(in-memory by default; the segment-file backend persists across
 restarts).  The store holds committed trees only and
 :meth:`FlowtreeTimeSeries.insert_tree` is this class's one write path: a
 bin's new contents are built aside (``existing.merged(update)``) and

@@ -127,6 +127,35 @@ class TestCommands:
         assert "healthy" in output
         assert "restarts" in output
 
+    def test_collect_file_store_then_store_info_reopens_it(self, trace_csv, tmp_path, capsys):
+        store = tmp_path / "flows"
+        assert main(["collect", "--schema", "4f", "--site", "edge-1", "--bin-width", "0.02",
+                     "--max-nodes", "1000", "--store", "file", "--store-path", str(store),
+                     str(trace_csv)]) == 0
+        capsys.readouterr()
+        assert main(["store-info", "--store-path", str(store)]) == 0
+        output = capsys.readouterr().out
+        assert "backend" in output and "file" in output
+        assert "edge-1: bins 0.." in output
+        assert "8000 packets" in output
+
+    def test_store_info_on_a_missing_path_creates_nothing(self, tmp_path, capsys):
+        missing = tmp_path / "nope"
+        assert main(["store-info", "--store-path", str(missing)]) == 1
+        assert "does not hold a collector store" in capsys.readouterr().err
+        assert not missing.exists()
+
+    def test_collect_has_no_sqlite_store(self, trace_csv, tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["collect", "--store", "sqlite", "--store-path", str(tmp_path / "f.db"),
+                  str(trace_csv)])
+        assert excinfo.value.code == 2
+
+    def test_store_info_has_no_store_flag(self, tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["store-info", "--store", "file", "--store-path", str(tmp_path)])
+        assert excinfo.value.code == 2
+
     def test_error_paths_return_nonzero(self, tmp_path, capsys):
         missing = tmp_path / "does-not-exist.ft"
         assert main(["info", str(missing)]) == 1

@@ -14,7 +14,7 @@ bytes as the bin and as the site's diff baseline.  That is a change of
   (``PYTHONPATH=src python tests/test_encode_once.py``) only for a change
   that is *meant* to move summary or store bytes.
 * **work counts** — ``to_bytes`` calls in ``diffsync``, ``collector`` and
-  ``stores.base`` plus ``Flowtree.diff`` / ``Flowtree.copy`` calls, counted,
+  ``stores.segment`` plus ``Flowtree.diff`` / ``Flowtree.copy`` calls, counted,
   not timed, so the tripwire survives a noisy host.
 """
 
@@ -42,7 +42,7 @@ from repro.distributed import collector as collector_module
 from repro.distributed import daemon as daemon_module
 from repro.distributed import diffsync as diffsync_module
 from repro.distributed.messages import SUMMARY_DIFF, SUMMARY_FULL
-from repro.distributed.stores import base as stores_base
+from repro.distributed.stores import segment as stores_segment
 from repro.distributed.stores.segment import SegmentFileStore
 from repro.features.schema import SCHEMA_4F
 from repro.traces import CaidaLikeTraceGenerator, EnterpriseTraceGenerator
@@ -225,7 +225,7 @@ def counting():
     with ExitStack() as stack:
         for label, module in (("diffsync", diffsync_module),
                               ("collector", collector_module),
-                              ("stores", stores_base)):
+                              ("stores", stores_segment)):
             stack.enter_context(mock.patch.object(
                 module, "to_bytes", counted(f"to_bytes.{label}", module.to_bytes)))
         for method in ("diff", "copy"):

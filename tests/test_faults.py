@@ -35,7 +35,7 @@ from repro.distributed import (
 )
 from repro.distributed.messages import SummaryMessage
 from repro.distributed.stores import SegmentFileStore
-from repro.features.schema import SCHEMA_2F_SRC_DST, SCHEMA_4F
+from repro.features.schema import SCHEMA_2F_SRC_DST
 
 SEAM = "test.seam"
 OTHER = "test.other-seam"

@@ -464,7 +464,7 @@ class TestDeploymentTcp:
     def test_multi_collector_rejects_durable_store(self, tmp_path):
         from repro.distributed import CollectorConfig
 
-        config = CollectorConfig(store="sqlite", store_path=str(tmp_path / "c.db"))
+        config = CollectorConfig(store="file", store_path=str(tmp_path / "c"))
         with pytest.raises(DaemonError, match="single-collector"):
             Deployment(SCHEMA_2F_SRC_DST, ["a", "b"], collectors=2, collector_config=config)
 

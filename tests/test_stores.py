@@ -1,6 +1,6 @@
 """Tests for the pluggable collector storage layer.
 
-Covers the three backends (memory / segment-file / SQLite), their
+Covers the two backends (memory / segment-file), their
 byte-for-byte equivalence under ingest + eviction + reopen, segment-store
 crash safety (a torn write must never become visible), collector restart
 recovery (sites, bins, diff baselines, dedup guards), duplicate-delivery
@@ -36,7 +36,6 @@ from repro.distributed.stores import (
     STORE_KINDS,
     MemoryStore,
     SegmentFileStore,
-    SQLiteStore,
     open_store,
 )
 from repro.distributed.stores.base import (
@@ -88,7 +87,7 @@ def message_stream(bins=6, per_bin=40, site="edge-1", drift=0):
 
 def store_path(kind, tmp):
     """Where ``kind``'s store lives under ``tmp`` (``None`` for the memory store)."""
-    return {"memory": None, "file": Path(tmp) / "fstore", "sqlite": Path(tmp) / "store.db"}[kind]
+    return {"memory": None, "file": Path(tmp) / "fstore"}[kind]
 
 
 def make_collector(kind, tmp, bin_width=BIN_WIDTH, retain_bins=None, faults=None):
@@ -127,11 +126,7 @@ class TestMetaCodecs:
 
 @pytest.fixture()
 def backends(tmp_path):
-    stores = [
-        MemoryStore(),
-        SegmentFileStore(tmp_path / "fstore"),
-        SQLiteStore(tmp_path / "store.db"),
-    ]
+    stores = [MemoryStore(), SegmentFileStore(tmp_path / "fstore")]
     yield stores
     for store in stores:
         store.close()
@@ -172,16 +167,13 @@ class TestStoreBackends:
 
     def test_durable_backends_survive_reopen(self, tmp_path):
         tree = small_tree([(("10.0.0.1", "192.0.2.1"), 7)])
-        reference = to_bytes(tree)
-        for first in (SegmentFileStore(tmp_path / "f2"), SQLiteStore(tmp_path / "s2.db")):
-            first.put("site", 1, tree.copy(), meta={"origin/site": pack_float(42.0)})
-            first.close()
-            reopened = type(first)(
-                tmp_path / "f2" if isinstance(first, SegmentFileStore) else tmp_path / "s2.db"
-            )
-            assert reopened.get_bytes("site", 1) == reference
-            assert reopened.get_meta("origin/site") == pack_float(42.0)
-            reopened.close()
+        first = SegmentFileStore(tmp_path / "f2")
+        first.put("site", 1, tree.copy(), meta={"origin/site": pack_float(42.0)})
+        first.close()
+        reopened = SegmentFileStore(tmp_path / "f2")
+        assert reopened.get_bytes("site", 1) == to_bytes(tree)
+        assert reopened.get_meta("origin/site") == pack_float(42.0)
+        reopened.close()
 
     def test_lru_cache_evicts_and_lazily_loads(self, tmp_path):
         store = SegmentFileStore(tmp_path / "lru", cache_bins=2)
@@ -225,8 +217,13 @@ class TestStoreBackends:
             open_store("file")
         with pytest.raises(ConfigurationError):
             open_store("tape")
-        store = open_store("sqlite", tmp_path / "f.db")
-        assert store.backend == "sqlite"
+        with pytest.raises(ConfigurationError):
+            open_store("sqlite", tmp_path / "f.db")
+        with pytest.raises(ConfigurationError):
+            CollectorConfig(store="sqlite", store_path=str(tmp_path / "f.db"))
+        assert not (tmp_path / "f.db").exists()
+        store = open_store("file", tmp_path / "f")
+        assert store.backend == "file"
         store.close()
 
 
@@ -281,9 +278,8 @@ class TestCommittedOnlyStore:
         assert from_bytes(collector.store.get_bytes("edge-1", 0)).total_counters().packets == 12
         collector.close()
 
-    @pytest.mark.parametrize("kind", ["file", "sqlite"])
-    def test_only_put_writes_and_enumeration_is_the_committed_set(self, tmp_path, kind):
-        store = open_store(kind, store_path(kind, tmp_path), cache_bins=2)
+    def test_only_put_writes_and_enumeration_is_the_committed_set(self, tmp_path):
+        store = SegmentFileStore(tmp_path / "fstore", cache_bins=2)
         writes = []
         real_write = store._write_payload
 
@@ -307,7 +303,7 @@ class TestCommittedOnlyStore:
         indices = {site: store.bin_indices(site) for site in sites}
         assert indices == {"site-0": [0, 2, 4], "site-1": [1, 3]}
         store.close()
-        reopened = open_store(kind, store_path(kind, tmp_path))
+        reopened = SegmentFileStore(tmp_path / "fstore")
         assert reopened.sites() == sites
         assert {site: reopened.bin_indices(site) for site in sites} == indices
         reopened.close()
@@ -496,8 +492,7 @@ class TestTimeSeriesStoreWiring:
 
 
 class TestCollectorDurability:
-    @pytest.mark.parametrize("kind", ["file", "sqlite"])
-    def test_kill_and_reopen_matches_uninterrupted_memory_collector(self, tmp_path, kind):
+    def test_kill_and_reopen_matches_uninterrupted_memory_collector(self, tmp_path):
         messages = message_stream(bins=6)
         assert any(m.kind == "diff" for m in messages[3:]), "need diffs after the cut"
 
@@ -505,13 +500,13 @@ class TestCollectorDurability:
         for message in messages:
             reference.ingest(message)
 
-        first = make_collector(kind, tmp_path)
+        first = make_collector("file", tmp_path)
         for message in messages[:3]:
             first.ingest(message)
         first.flush()
         del first  # killed: no close
 
-        recovered = make_collector(kind, tmp_path)
+        recovered = make_collector("file", tmp_path)
         assert recovered.sites == []
         assert recovered.reopen() == ["edge-1"]
         # The remaining messages include diffs, so this only works if the
@@ -552,13 +547,13 @@ class TestCollectorDurability:
 
     def test_duplicate_guard_survives_reopen(self, tmp_path):
         messages = message_stream(bins=4)
-        collector = make_collector("sqlite", tmp_path)
+        collector = make_collector("file", tmp_path)
         for message in messages:
             collector.ingest(message)
         snapshot = site_bin_bytes(collector)
         collector.close()
 
-        recovered = make_collector("sqlite", tmp_path)
+        recovered = make_collector("file", tmp_path)
         recovered.reopen()
         for message in messages:
             assert recovered.ingest(message) is False
@@ -593,18 +588,18 @@ class TestCollectorDurability:
             collector.ingest(drifted)
 
     def test_store_identity_pinned(self, tmp_path):
-        collector = make_collector("sqlite", tmp_path)
+        collector = make_collector("file", tmp_path)
         for message in message_stream(bins=2):
             collector.ingest(message)
         collector.close()
         config = CollectorConfig(
-            bin_width=7.0, storage=STORAGE, store="sqlite",
-            store_path=str(Path(tmp_path) / "store.db"),
+            bin_width=7.0, storage=STORAGE, store="file",
+            store_path=str(store_path("file", tmp_path)),
         )
         with pytest.raises(DaemonError):
             Collector(SCHEMA_2F_SRC_DST, SimulatedTransport(), config=config)
 
-    @pytest.mark.parametrize("kind", ["memory", "file", "sqlite"])
+    @pytest.mark.parametrize("kind", STORE_KINDS)
     def test_retention_flows_to_backend(self, tmp_path, kind):
         collector = make_collector(kind, tmp_path, retain_bins=2)
         for message in message_stream(bins=5):
@@ -630,7 +625,7 @@ class TestCollectorDurability:
         for message in messages:
             reference.ingest(message)
 
-        collector = make_collector("sqlite", tmp_path)
+        collector = make_collector("file", tmp_path)
         for message in messages[:2]:
             collector.ingest(message)
 
@@ -684,7 +679,7 @@ class TestCollectorDurability:
         collector and across a reopen.
         """
         messages = message_stream(bins=6)
-        collector = make_collector("sqlite", tmp_path, retain_bins=2)
+        collector = make_collector("file", tmp_path, retain_bins=2)
         for message in messages:
             collector.ingest(message)
         assert collector.bins_for("edge-1") == [4, 5]
@@ -698,7 +693,7 @@ class TestCollectorDurability:
         assert collector.bins_for("edge-1") == [4, 5], "evicted bin resurrected"
         collector.close()
 
-        recovered = make_collector("sqlite", tmp_path, retain_bins=2)
+        recovered = make_collector("file", tmp_path, retain_bins=2)
         recovered.reopen()
         assert all(bin_index >= horizon for bin_index, _ in recovered._seen["edge-1"])
         for message in old:
@@ -729,42 +724,35 @@ class TestCollectorDurability:
     evict_cut=st.integers(min_value=0, max_value=3),
 )
 def test_property_backends_byte_identical(bins, per_bin, evict_cut):
-    """MemoryStore == SegmentFileStore == SQLiteStore, byte for byte.
+    """MemoryStore == SegmentFileStore, byte for byte.
 
     After the same message stream, after eviction, and (for the durable
-    backends) after a reopen, every (site, bin) must serialize to the
-    exact same payload on every backend.
+    backend) after a reopen, every (site, bin) must serialize to the
+    exact same payload on both backends.
     """
     messages = message_stream(bins=bins, per_bin=per_bin)
     with tempfile.TemporaryDirectory() as tmp:
-        collectors = {
-            kind: make_collector(kind, os.path.join(tmp, kind))
-            for kind in ("memory", "file", "sqlite")
-        }
-        for collector in collectors.values():
+        memory = make_collector("memory", tmp)
+        durable = make_collector("file", tmp)
+        for collector in (memory, durable):
             for message in messages:
                 collector.ingest(message)
-        reference = site_bin_bytes(collectors["memory"])
+        reference = site_bin_bytes(memory)
         assert reference
-        for kind in ("file", "sqlite"):
-            assert site_bin_bytes(collectors[kind]) == reference
+        assert site_bin_bytes(durable) == reference
 
-        for collector in collectors.values():
+        for collector in (memory, durable):
             collector.evict_before(evict_cut)
-        reference = site_bin_bytes(collectors["memory"])
-        for kind in ("file", "sqlite"):
-            assert site_bin_bytes(collectors[kind]) == reference
-            collectors[kind].close()
+        reference = site_bin_bytes(memory)
+        assert site_bin_bytes(durable) == reference
+        durable.close()
 
-        for kind in ("file", "sqlite"):
-            recovered = make_collector(kind, os.path.join(tmp, kind))
-            recovered.reopen()
-            assert site_bin_bytes(recovered) == reference
-            if reference:
-                assert to_bytes(recovered.merged()) == to_bytes(
-                    collectors["memory"].merged()
-                )
-            recovered.close()
+        recovered = make_collector("file", tmp)
+        recovered.reopen()
+        assert site_bin_bytes(recovered) == reference
+        if reference:
+            assert to_bytes(recovered.merged()) == to_bytes(memory.merged())
+        recovered.close()
 
 
 def test_decoder_full_path_baseline_not_copied():

@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from helpers import make_timed_record
+from helpers import key2, make_timed_record
 from repro.core.config import FlowtreeConfig
 from repro.core.errors import ConfigurationError, DaemonError
 from repro.distributed import (
@@ -197,6 +197,52 @@ class TestDeploymentIntegration:
             assert supervisor.collectors == deployment.collectors
             with pytest.raises(DaemonError, match="different"):
                 deployment.supervisor(SupervisorConfig(interval=9.0))
+
+    def test_durable_collector_serves_the_heartbeat_and_gather_threads(self, tmp_path):
+        """A file store opened on the main thread is used from two others.
+
+        The supervisor's heartbeat thread ingests (``poll_on_check``) and
+        the query engine's gather pool (``query_timeout`` set) reads; the
+        answers must match an in-memory deployment's and the heartbeat
+        must never fail.
+        """
+        records = {
+            site: [
+                make_timed_record(timestamp=(i % 3) * 10.0, src=f"10.0.{i % 7}.{1 + i % 5}")
+                for i in range(90)
+            ]
+            for site in ("a", "b")
+        }
+        keys = [key2(f"10.0.{i}.1", "2.2.2.2") for i in range(7)] + [key2("10.0.0.0/16", "*")]
+        with Deployment(SCHEMA_2F_SRC_DST, ["a", "b"], bin_width=10.0) as memory:
+            for site, site_records in records.items():
+                memory.attach_records(site, site_records)
+            memory.run()
+            expected = memory.query_engine.estimate_many(keys)
+            assert expected[0][keys[-1]] == 180
+            messages = sum(c.messages_processed for c in memory.collectors)
+
+        durable = Deployment(
+            SCHEMA_2F_SRC_DST, ["a", "b"], bin_width=10.0,
+            collector_config=CollectorConfig(
+                bin_width=10.0, store="file", store_path=str(tmp_path / "store")
+            ),
+            query_timeout=5.0,
+        )
+        supervisor = durable.supervisor(SupervisorConfig(interval=0.01)).start()
+        for site, site_records in records.items():
+            durable.attach_records(site, site_records)
+            durable.site(site).replay()
+        (collector,) = durable.collectors
+        deadline = time.monotonic() + 10.0
+        while collector.messages_processed < messages and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert collector.messages_processed == messages
+        assert durable.query_engine.estimate_many(keys) == expected
+        supervisor.stop()
+        assert supervisor.health_snapshot()[collector.name]["last_error"] is None
+        assert supervisor.all_healthy
+        durable.close()
 
     def test_close_stops_background_supervisor(self):
         deployment = Deployment(SCHEMA_2F_SRC_DST, ["a"], bin_width=60.0)
