@@ -14,12 +14,7 @@
 
 from repro.analysis.accuracy import AccuracyEvaluator, AccuracyReport, error_percentiles
 from repro.analysis.drilldown import InvestigationReport, investigate, port_profile
-from repro.analysis.heavyhitters import (
-    HeavyHitterReport,
-    heavy_hitter_report,
-    presence_by_threshold,
-    stratified_error,
-)
+from repro.analysis.heavyhitters import HeavyHitterReport, heavy_hitter_report
 from repro.analysis.histogram import Histogram2D
 from repro.analysis.report import (
     comparison_line,
@@ -51,8 +46,6 @@ __all__ = [
     "transfer_report",
     "HeavyHitterReport",
     "heavy_hitter_report",
-    "stratified_error",
-    "presence_by_threshold",
     "InvestigationReport",
     "investigate",
     "port_profile",

@@ -4,15 +4,14 @@ The paper's accuracy section states that "all flows which account for more
 than 1 % of the packets are present in the tree" and that medium/low
 popularity flows are still captured with acceptable accuracy.  This module
 quantifies both: presence (recall) of heavy flows at a configurable
-threshold, precision/recall of heavy-hitter *detection* (estimate above
-threshold vs. truth above threshold), and the popularity-stratified error
-profile used by the ablation benchmarks.
+threshold, and precision/recall of heavy-hitter *detection* (estimate above
+threshold vs. truth above threshold).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.baselines.exact import ExactAggregator
 from repro.core.flowtree import Flowtree
@@ -83,60 +82,3 @@ def heavy_hitter_report(
         recall=recall,
         all_heavy_present=all_present,
     )
-
-
-def stratified_error(
-    tree: Flowtree,
-    truth: ExactAggregator,
-    boundaries: Sequence[int] = (1, 10, 100, 1_000, 10_000),
-    metric: str = "packets",
-) -> List[Dict[str, object]]:
-    """Mean relative error per popularity stratum.
-
-    The paper notes off-diagonal entries "significantly decrease in number
-    as the popularity rises"; this table shows the same effect as error per
-    popularity band (1, 2–10, 11–100, ...).
-    """
-    strata: List[Dict[str, object]] = []
-    counts = truth.flow_counts(metric)
-    edges = list(boundaries) + [float("inf")]
-    for low, high in zip(edges[:-1], edges[1:]):
-        keys = [key for key, count in counts.items() if low <= count < high]
-        if not keys:
-            strata.append(
-                {"popularity_low": low, "popularity_high": high, "flows": 0,
-                 "mean_relative_error": 0.0, "present_fraction": 0.0}
-            )
-            continue
-        errors = []
-        present = 0
-        for key in keys:
-            actual = counts[key]
-            estimated = tree.estimate(key).value(metric)
-            errors.append(abs(estimated - actual) / max(actual, 1))
-            if key in tree:
-                present += 1
-        strata.append(
-            {
-                "popularity_low": low,
-                "popularity_high": high,
-                "flows": len(keys),
-                "mean_relative_error": sum(errors) / len(errors),
-                "present_fraction": present / len(keys),
-            }
-        )
-    return strata
-
-
-def presence_by_threshold(
-    tree: Flowtree,
-    truth: ExactAggregator,
-    fractions: Sequence[float] = (0.0001, 0.001, 0.01),
-    metric: str = "packets",
-) -> Dict[float, bool]:
-    """For each threshold, whether every flow above it is kept in the tree."""
-    result = {}
-    for fraction in fractions:
-        report = heavy_hitter_report(tree, truth, threshold_fraction=fraction, metric=metric)
-        result[fraction] = report.all_heavy_present
-    return result

@@ -131,13 +131,6 @@ class StoreFootprint:
     payload_bytes: int
     disk_bytes: int
 
-    @property
-    def overhead_fraction(self) -> float:
-        """Backend bytes beyond the raw payloads, relative to the payloads."""
-        if self.payload_bytes == 0:
-            return 0.0
-        return max(0.0, self.disk_bytes / self.payload_bytes - 1.0)
-
     def rows(self) -> List[Dict[str, object]]:
         """Report-table rows (used by the CLI ``store-info`` command)."""
         return [

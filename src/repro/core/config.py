@@ -8,7 +8,7 @@ selected, so the ablation benchmarks can sweep them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.errors import ConfigurationError
@@ -93,14 +93,6 @@ class FlowtreeConfig:
     def compaction_enabled(self) -> bool:
         """``True`` unless the tree runs in exact (unbounded) mode."""
         return self.max_nodes is not None
-
-    def with_max_nodes(self, max_nodes: Optional[int]) -> "FlowtreeConfig":
-        """Copy of this config with a different node budget (for sweeps)."""
-        return replace(self, max_nodes=max_nodes)
-
-    def with_policy(self, policy: str) -> "FlowtreeConfig":
-        """Copy of this config with a different generalization policy."""
-        return replace(self, policy=policy)
 
 
 #: Configuration used throughout the paper's evaluation (Fig. 3).

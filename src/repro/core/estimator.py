@@ -1,4 +1,4 @@
-"""Higher-level query helpers: batch estimation, decomposition and drill-down.
+"""Higher-level query helpers: batch estimation and drill-down.
 
 The Flowtree's :meth:`~repro.core.flowtree.Flowtree.estimate` answers one
 popularity query.  Operators rarely ask one question at a time — they ask
@@ -9,10 +9,9 @@ layer, the CLI and the distributed query engine.
 All helpers run on the tree's query index (cached subtree aggregates plus
 the per-level token projection index, see :mod:`repro.core.query`):
 :func:`estimate_many` warms the aggregates in one bottom-up sweep and then
-answers each key in O(1)-ish time, :func:`decompose` locates the residual
-ancestor and the contributing descendants in a single pass, and
-:func:`children_of` / :func:`drill_down` bucket projection-index hits
-instead of re-scanning every kept node per level.  The naive full-scan
+answers each key in O(1)-ish time, and :func:`children_of` /
+:func:`drill_down` bucket projection-index hits instead of re-scanning
+every kept node per level.  The naive full-scan
 semantics these must match are kept executable in
 :mod:`repro.core.reference`.
 """
@@ -20,12 +19,12 @@ semantics these must match are kept executable in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.core.errors import QueryError
 from repro.core.flowtree import Estimate, Flowtree
 from repro.core.key import FlowKey
-from repro.core.node import Counters, FlowtreeNode
+from repro.core.node import Counters
 from repro.core.query import ProbeMemo
 
 
@@ -97,63 +96,6 @@ def estimate_values(
         key: estimate.value(metric)
         for key, estimate in estimate_many(tree, keys).items()
     }
-
-
-@dataclass(frozen=True)
-class DecompositionTerm:
-    """One term of a query decomposition.
-
-    ``kind`` is ``"node"`` for an exactly answerable sub-query and
-    ``"residual"`` for the proportional share attributed from an ancestor.
-    """
-
-    key: FlowKey
-    kind: str
-    value: int
-
-
-def _node_terms(
-    nodes: Iterable[FlowtreeNode], metric: str
-) -> List[DecompositionTerm]:
-    """Non-zero node terms, deterministically ordered (specificity, wire)."""
-    terms = [
-        DecompositionTerm(node.key, "node", value)
-        for node in nodes
-        if (value := node.counters.weight(metric))
-    ]
-    terms.sort(key=lambda term: (term.key.specificity, term.key.to_wire()))
-    return terms
-
-
-def decompose(tree: Flowtree, key: FlowKey, metric: str = "packets") -> List[DecompositionTerm]:
-    """Explain how a query is answered (the paper's query decomposition).
-
-    Returns the kept keys whose counters contribute to the estimate plus,
-    when the query key itself is not kept, the residual term charged from
-    the nearest kept ancestor.  The sum of the term values equals the
-    estimate returned by :meth:`Flowtree.estimate` (up to rounding of the
-    residual share).
-
-    For absent keys the contributing descendants and the residual ancestor
-    come from one :meth:`Flowtree._absent_query_parts` call — the same
-    single pass the estimator runs — instead of one containment scan for
-    the terms plus a second full ``estimate`` for the residual.
-    """
-    if key.arity != len(tree.schema):
-        raise QueryError(
-            f"query key has arity {key.arity}, schema {tree.schema.name!r} "
-            f"has {len(tree.schema)} fields"
-        )
-    node = tree._get_node(key)
-    if node is not None:
-        return _node_terms(node.iter_subtree(), metric)
-    ancestor, contained = tree._absent_query_parts(key)
-    terms = _node_terms(contained, metric)
-    share = min(1.0, key.cardinality / ancestor.key.cardinality)
-    residual = ancestor.counters.scaled(share).weight(metric)
-    if residual:
-        terms.append(DecompositionTerm(key, "residual", residual))
-    return terms
 
 
 def children_of(
@@ -257,11 +199,3 @@ def drill_down(
         )
         current, current_value = best_key, best_value
     return path
-
-
-def coverage(tree: Flowtree, keys: Sequence[FlowKey]) -> float:
-    """Fraction of the given keys that are kept exactly (present as nodes)."""
-    if not keys:
-        return 0.0
-    present = sum(1 for key in keys if key in tree)
-    return present / len(keys)

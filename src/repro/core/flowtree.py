@@ -183,7 +183,6 @@ class Flowtree:
         )
         self._max_spec = self._chain.max_specificity
         self._trajectory_order = self._chain.trajectory()
-        self._trajectory_levels = set(self._trajectory_order)
 
         root_key = FlowKey.root(schema)
         self._root = FlowtreeNode(root_key)
@@ -793,14 +792,13 @@ class Flowtree:
     def _absent_query_parts(
         self, key: FlowKey
     ) -> Tuple[FlowtreeNode, List[FlowtreeNode]]:
-        """Decomposition inputs for an absent query key, via the query index.
+        """Estimate inputs for an absent query key, via the query index.
 
         Returns ``(nearest kept ancestor, kept nodes strictly contained in
-        the key)`` — the two ingredients :meth:`estimate` and
-        :func:`~repro.core.estimator.decompose` share, computed in one
-        place so the two can never disagree.  Fully specific keys contain
-        nothing, so only the ancestor probe runs (the hot path of the
-        Fig. 3 accuracy evaluation); generalized keys — on- or
+        the key)`` — the two ingredients :meth:`estimate` combines into an
+        absent key's answer.  Fully specific keys contain nothing, so only
+        the ancestor probe runs (the hot path of the Fig. 3 accuracy
+        evaluation); generalized keys — on- or
         off-trajectory — get their descendants from one projection-bucket
         lookup instead of a subtree containment sweep or a full node scan.
         """

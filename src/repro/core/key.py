@@ -10,7 +10,7 @@ use arbitrary lattice points.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 from repro.core.errors import KeyError_
 from repro.features.base import Feature
@@ -192,20 +192,3 @@ class FlowKey:
 
     def __repr__(self) -> str:
         return f"FlowKey{self.pretty()}"
-
-
-def validate_same_arity(keys: Iterable[FlowKey], expected: Optional[int] = None) -> int:
-    """Check that all keys share one arity; return it.
-
-    Raises :class:`~repro.core.errors.KeyError_` on mismatch, which protects
-    merge/diff and serialization paths from silently mixing schemas.
-    """
-    arity = expected
-    for key in keys:
-        if arity is None:
-            arity = key.arity
-        elif key.arity != arity:
-            raise KeyError_(f"mixed key arities: expected {arity}, got {key.arity}")
-    if arity is None:
-        raise KeyError_("no keys supplied")
-    return arity

@@ -1,14 +1,14 @@
 """Whole-summary operators built on top of the Flowtree primitives.
 
 The Flowtree class exposes pairwise ``merge`` / ``diff``; this module adds
-the aggregate forms used by the distributed layer and the benchmarks:
-merging many summaries (across sites, across time bins), computing relative
-changes, and measuring how similar two summaries are.
+the aggregate forms used by the distributed layer: merging many summaries
+(across sites, across time bins), computing relative changes, and the
+conservation check the tests compare trees against.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.errors import SchemaMismatchError
 from repro.core.flowtree import Flowtree
@@ -36,51 +36,12 @@ def merge_all(trees: Sequence[Flowtree]) -> Flowtree:
     return result
 
 
-def diff_chain(trees: Sequence[Flowtree]) -> List[Flowtree]:
-    """Consecutive diffs ``trees[i] - trees[i-1]`` for a time-ordered list.
-
-    This is the representation a daemon ships when only changes between
-    consecutive summaries need to be transferred (CLAIM-TRANSFER).
-    """
-    return [trees[i].diff(trees[i - 1]) for i in range(1, len(trees))]
-
-
-def apply_diff(base: Flowtree, delta: Flowtree) -> Flowtree:
-    """Reconstruct ``base + delta`` (inverse of :meth:`Flowtree.diff`)."""
-    return base.merged(delta)
-
-
-def reconstruct_from_diffs(first: Flowtree, deltas: Iterable[Flowtree]) -> Flowtree:
-    """Replay a diff chain on top of the first full summary."""
-    current = first.copy()
-    for delta in deltas:
-        current = apply_diff(current, delta)
-    return current
-
-
 def key_union(trees: Sequence[Flowtree]) -> List[FlowKey]:
     """All keys kept by at least one of the summaries (sorted, deduplicated)."""
     keys = set()
     for tree in trees:
         keys.update(tree.keys())
     return sorted(keys, key=lambda key: (key.specificity, key.to_wire()))
-
-
-def counter_table(trees: Sequence[Flowtree], metric: str = "packets") -> Dict[FlowKey, List[int]]:
-    """Per-key complementary counters across several summaries.
-
-    Missing keys contribute zero, so the table is rectangular; handy for
-    building per-site or per-bin comparison tables in reports.
-    """
-    keys = key_union(trees)
-    table: Dict[FlowKey, List[int]] = {}
-    for key in keys:
-        row = []
-        for tree in trees:
-            counters = tree.complementary_counters(key)
-            row.append(counters.weight(metric) if counters is not None else 0)
-        table[key] = row
-    return table
 
 
 def relative_change(
@@ -110,32 +71,6 @@ def relative_change(
     return results
 
 
-def summary_distance(a: Flowtree, b: Flowtree, metric: str = "packets") -> float:
-    """Normalized L1 distance between two summaries (0 = identical, 1 = disjoint).
-
-    Computed over complementary counters on the union of kept keys; the
-    alarming layer and the tests use it as a similarity measure that is
-    insensitive to node-budget differences.
-    """
-    table = counter_table([a, b], metric=metric)
-    total_diff = 0
-    total_mass = 0
-    for value_a, value_b in table.values():
-        total_diff += abs(value_a - value_b)
-        total_mass += abs(value_a) + abs(value_b)
-    if total_mass == 0:
-        return 0.0
-    return total_diff / total_mass
-
-
-def total_traffic(trees: Sequence[Flowtree], metric: str = "packets") -> int:
-    """Total traffic represented by a set of summaries (sum of root subtrees)."""
-    total = 0
-    for tree in trees:
-        total += tree.total_counters().weight(metric)
-    return total
-
-
 def conservation_error(tree: Flowtree, expected: Counters) -> Dict[str, int]:
     """Difference between the tree's total counters and an expected total.
 
@@ -149,26 +84,3 @@ def conservation_error(tree: Flowtree, expected: Counters) -> Dict[str, int]:
         "bytes": actual.bytes - expected.bytes,
         "flows": actual.flows - expected.flows,
     }
-
-
-def find_heavy_hitters(
-    tree: Flowtree,
-    threshold_fraction: float,
-    metric: str = "packets",
-    max_results: Optional[int] = None,
-) -> List[Tuple[FlowKey, int]]:
-    """Hierarchical heavy hitters: kept keys above a fraction of total traffic.
-
-    Cumulative (subtree) popularity is used, so coarse aggregates qualify
-    even when no single specific flow does.  Results are sorted by
-    popularity, most popular first.
-    """
-    keys = tree.heavy_keys(threshold_fraction, metric=metric)
-    ranked = sorted(
-        ((key, tree.subtree_counters(key).weight(metric)) for key in keys),
-        key=lambda item: item[1],
-        reverse=True,
-    )
-    if max_results is not None:
-        ranked = ranked[:max_results]
-    return ranked

@@ -42,37 +42,6 @@ class GeneralizationPolicy(abc.ABC):
         positive and must return the index of such an entry.
         """
 
-    # -- derived operations ---------------------------------------------------
-
-    def parent(self, key: FlowKey, maximum: Sequence[int]) -> FlowKey:
-        """Canonical parent of ``key`` (one generalization step)."""
-        spec = key.specificity_vector
-        index = self.choose_feature(spec, maximum)
-        if spec[index] == 0:
-            raise ConfigurationError(
-                f"policy {self.name!r} chose already-general feature {index} "
-                f"for specificity vector {spec}"
-            )
-        return key.generalize_feature(index)
-
-    def chain(self, key: FlowKey, maximum: Sequence[int]) -> Iterator[FlowKey]:
-        """Yield the canonical ancestors of ``key``, ending at the root."""
-        current = key
-        while not current.is_root:
-            current = self.parent(current, maximum)
-            yield current
-
-    def trajectory(self, maximum: Sequence[int]) -> List[Tuple[int, ...]]:
-        """All specificity vectors visited by chains, from fully specific to root."""
-        levels: List[Tuple[int, ...]] = []
-        spec = list(maximum)
-        levels.append(tuple(spec))
-        while any(value > 0 for value in spec):
-            index = self.choose_feature(spec, maximum)
-            spec[index] -= 1
-            levels.append(tuple(spec))
-        return levels
-
 
 class RoundRobinPolicy(GeneralizationPolicy):
     """Generalize the feature that is currently the most specific *relatively*.
@@ -287,10 +256,6 @@ class ChainBuilder:
             current = self.parent(current)
             yield current
 
-    def chain_length(self, key: FlowKey) -> int:
-        """Number of generalization steps from ``key`` to the root."""
-        return sum(1 for _ in self.chain(key))
-
     def trajectory(self) -> List[Tuple[int, ...]]:
         """Specificity vectors visited by chains of fully specific keys."""
         levels: List[Tuple[int, ...]] = []
@@ -344,26 +309,15 @@ def get_policy(name: str) -> GeneralizationPolicy:
         ) from None
 
 
-def register_policy(policy_class: Type[GeneralizationPolicy]) -> Type[GeneralizationPolicy]:
-    """Register a user-defined policy class (usable as a decorator)."""
-    if not issubclass(policy_class, GeneralizationPolicy):
-        raise ConfigurationError(f"{policy_class!r} is not a GeneralizationPolicy subclass")
-    if not policy_class.name or policy_class.name == "abstract":
-        raise ConfigurationError("custom policies must define a unique, non-default name")
-    _POLICIES[policy_class.name] = policy_class
-    return policy_class
-
-
 def schema_max_specificity(schema) -> Tuple[int, ...]:
     """Per-field specificity of a fully specific key under ``schema``.
 
     Derived from the feature types: 32 for IPv4 prefixes, 128 for IPv6,
-    16 for port ranges, 1 for protocols and categorical labels.
+    16 for port ranges, 1 for protocols.
     """
     from repro.features.ipaddr import IPv4Prefix, IPv6Prefix
     from repro.features.ports import PORT_BITS, PortRange
     from repro.features.protocol import Protocol
-    from repro.features.wildcard import CategoricalValue
 
     maxima = []
     for spec in schema.fields:
@@ -372,7 +326,7 @@ def schema_max_specificity(schema) -> Tuple[int, ...]:
             maxima.append(feature_type.width)
         elif issubclass(feature_type, PortRange):
             maxima.append(PORT_BITS)
-        elif issubclass(feature_type, (Protocol, CategoricalValue)):
+        elif issubclass(feature_type, Protocol):
             maxima.append(1)
         else:
             raise ConfigurationError(

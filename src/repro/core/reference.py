@@ -89,28 +89,6 @@ def walk_absent_parts(
     return (ancestor if ancestor is not None else tree.root), contained
 
 
-def walk_decompose(tree: Flowtree, key: FlowKey, metric: str = "packets") -> List[tuple]:
-    """Index-free decomposition: ``(key, kind, value)`` tuples, same order
-    contract as :func:`repro.core.estimator.decompose`."""
-    node = tree._get_node(key)
-    if node is not None:
-        members = list(node.iter_subtree())
-        residual = 0
-    else:
-        ancestor, members = walk_absent_parts(tree, key)
-        share = min(1.0, key.cardinality / ancestor.key.cardinality)
-        residual = ancestor.counters.scaled(share).weight(metric)
-    terms = [
-        (member.key, "node", member.counters.weight(metric))
-        for member in members
-        if member.counters.weight(metric)
-    ]
-    terms.sort(key=lambda term: (term[0].specificity, term[0].to_wire()))
-    if node is None and residual:
-        terms.append((key, "residual", residual))
-    return terms
-
-
 def walk_children_of(
     tree: Flowtree,
     key: FlowKey,

@@ -1,15 +1,17 @@
 """Serialization of Flowtree summaries.
 
-Two formats are provided:
+The **compact binary format** (magic ``FTRE``, varint-encoded counters,
+per-feature wire strings in a shared string table) is what sites ship, the
+collector stores and the storage and transfer-cost experiments measure.  It
+round-trips keys, complementary counters, the schema, the policy and
+``max_nodes`` exactly; every other :class:`~repro.core.config.FlowtreeConfig`
+field (``ip_stride``, ``port_stride``, ``count_bytes``, ...) reverts to its
+default on decode.  The decoded tree rebuilds its structure through the
+normal insertion path so all invariants hold.
 
-* a **compact binary format** (magic ``FTRE``, varint-encoded counters,
-  per-feature wire strings in a shared string table) used for the storage
-  and transfer-cost experiments, and
-* a **JSON format** for interoperability, debugging and long-term archival.
-
-Both round-trip exactly: keys, complementary counters, schema and
-configuration are preserved, and the decoded tree rebuilds its structure
-through the normal insertion path so all invariants hold.
+:func:`to_json` writes the same content as a human-readable JSON document.
+It exists for the size comparisons of :func:`size_report` (``flowtree
+info``) and the storage report; there is no JSON decoder.
 """
 
 from __future__ import annotations
@@ -263,30 +265,6 @@ def to_json(tree: Flowtree, indent: int = None) -> str:
         ],
     }
     return json.dumps(document, indent=indent)
-
-
-def from_json(text: str) -> Flowtree:
-    """Decode a Flowtree produced by :func:`to_json`."""
-    try:
-        document = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SerializationError(f"invalid JSON summary: {exc}") from exc
-    if document.get("format") != "flowtree-json":
-        raise SerializationError("not a Flowtree JSON summary")
-    schema = schema_by_name(document["schema"])
-    config = FlowtreeConfig(
-        max_nodes=document.get("max_nodes"),
-        policy=document.get("policy", "round-robin"),
-    )
-    tree = Flowtree(schema, config)
-    for entry in document.get("nodes", []):
-        key = FlowKey.from_wire(schema, entry["key"])
-        node = tree.root if key.is_root else tree._get_or_create_node(key)
-        node.counters.packets += int(entry.get("packets", 0))
-        node.counters.bytes += int(entry.get("bytes", 0))
-        node.counters.flows += int(entry.get("flows", 0))
-        node.invalidate_subtree_cache()
-    return tree
 
 
 # -- size accounting -------------------------------------------------------------

@@ -126,11 +126,3 @@ class TransferLog:
         self.messages += 1
         self.payload_bytes += payload_bytes
         self.overhead_bytes += overhead_bytes
-
-    def merged_with(self, other: "TransferLog") -> "TransferLog":
-        """Combined log (for per-site roll-ups)."""
-        return TransferLog(
-            messages=self.messages + other.messages,
-            payload_bytes=self.payload_bytes + other.payload_bytes,
-            overhead_bytes=self.overhead_bytes + other.overhead_bytes,
-        )

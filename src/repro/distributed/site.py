@@ -236,11 +236,6 @@ class Deployment:
     # -- accessors ---------------------------------------------------------------
 
     @property
-    def transport_kind(self) -> str:
-        """``"memory"`` or ``"tcp"``."""
-        return self._transport_kind
-
-    @property
     def transport(self) -> SimulatedTransport:
         """The simulated network (memory deployments only; for byte accounting)."""
         if self._shared_transport is None:
@@ -287,11 +282,6 @@ class Deployment:
     def query_engine(self) -> DistributedQueryEngine:
         """Query interface over all collectors (scatter/gather)."""
         return self._engine
-
-    @property
-    def alert_manager(self) -> AlertManager:
-        """The alerting layer."""
-        return self._alerts
 
     @property
     def site_names(self) -> List[str]:

@@ -130,16 +130,6 @@ class Supervisor:
         self._stop = threading.Event()
         self._crash: Optional[BaseException] = None
 
-    @classmethod
-    def for_deployment(
-        cls, deployment: object, config: Optional[SupervisorConfig] = None
-    ) -> "Supervisor":
-        """Supervisor over a :class:`~repro.distributed.site.Deployment`'s
-        collectors (and TCP servers, when it has them)."""
-        collectors = deployment.collectors  # type: ignore[attr-defined]
-        servers = deployment.servers  # type: ignore[attr-defined]
-        return cls(collectors, servers=servers or None, config=config)
-
     # -- properties -------------------------------------------------------------
 
     @property

@@ -91,16 +91,8 @@ class Transport(Protocol):
         """Total bytes (payload + overhead) matching the given endpoints."""
         ...
 
-    def total_log(self) -> TransferLog:
-        """Aggregated transfer totals over every channel."""
-        ...
-
     def per_channel(self) -> Dict[Tuple[str, str], TransferLog]:
         """Copy of the per-channel accounting table."""
-        ...
-
-    def reset_accounting(self) -> None:
-        """Clear the byte counters."""
         ...
 
 
@@ -149,23 +141,11 @@ class TransferAccounting:
                 total += log.total_bytes
         return total
 
-    def total_log(self) -> TransferLog:
-        """Aggregated transfer totals over every channel."""
-        combined = TransferLog()
-        with self._accounting_lock:
-            for log in self._logs.values():
-                combined = combined.merged_with(log)
-        return combined
-
     def per_channel(self) -> Dict[Tuple[str, str], TransferLog]:
         """Copy of the per-channel accounting table."""
         with self._accounting_lock:
             return dict(self._logs)
 
-    def reset_accounting(self) -> None:
-        """Clear the byte counters (queues are left untouched)."""
-        with self._accounting_lock:
-            self._logs.clear()
 
 
 class SimulatedTransport(TransferAccounting):

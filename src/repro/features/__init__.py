@@ -17,7 +17,6 @@ Concrete features:
 * :class:`~repro.features.ipaddr.IPv4Prefix`, :class:`~repro.features.ipaddr.IPv6Prefix`
 * :class:`~repro.features.ports.PortRange`
 * :class:`~repro.features.protocol.Protocol`
-* :class:`~repro.features.wildcard.CategoricalValue` (generic two-level hierarchy)
 
 Schemas (:mod:`repro.features.schema`) bundle an ordered list of feature
 types into the 1-, 2-, 4- and 5-feature flow keys used in the paper.
@@ -27,7 +26,6 @@ from repro.features.base import Feature, FeatureError, ParseError
 from repro.features.ipaddr import IPv4Prefix, IPv6Prefix, parse_prefix
 from repro.features.ports import PortRange
 from repro.features.protocol import Protocol
-from repro.features.wildcard import CategoricalValue
 from repro.features.schema import (
     FlowSchema,
     SCHEMA_1F_SRC,
@@ -46,7 +44,6 @@ __all__ = [
     "parse_prefix",
     "PortRange",
     "Protocol",
-    "CategoricalValue",
     "FlowSchema",
     "SCHEMA_1F_SRC",
     "SCHEMA_2F_SRC_DST",

@@ -9,7 +9,7 @@ geographic regions, ...) without touching the core.
 from __future__ import annotations
 
 import abc
-from typing import Any, Iterator, Optional
+from typing import Any, Iterator
 
 
 class FeatureError(ValueError):
@@ -195,8 +195,3 @@ def mask_bits(value: int, keep: int, width: int) -> int:
         return value
     shift = width - keep
     return (value >> shift) << shift
-
-
-def bit_length_floor(value: Optional[int], default: int) -> int:
-    """Return ``value`` if not ``None`` else ``default`` (tiny readability helper)."""
-    return default if value is None else value

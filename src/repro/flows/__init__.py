@@ -1,4 +1,4 @@
-"""Flow record substrate: records, codecs and sampling.
+"""Flow record substrate: records and codecs.
 
 This package provides everything between "bytes on the wire / bytes on
 disk" and "records a Flowtree can consume":
@@ -8,8 +8,7 @@ disk" and "records a Flowtree can consume":
 * :mod:`repro.flows.netflow` — NetFlow v5 binary codec,
 * :mod:`repro.flows.ipfix` — template-based IPFIX codec,
 * :mod:`repro.flows.pcap` — libpcap file reader/writer,
-* :mod:`repro.flows.csv_io` — CSV archives,
-* :mod:`repro.flows.sampling` — packet/flow sampling models.
+* :mod:`repro.flows.csv_io` — CSV archives.
 """
 
 from repro.flows.records import FlowRecord, PacketRecord, packets_to_flows
@@ -22,12 +21,6 @@ from repro.flows.netflow import (
 )
 from repro.flows.ipfix import IpfixDecoder, encode_message, encode_messages
 from repro.flows.pcap import read_pcap, write_pcap
-from repro.flows.sampling import (
-    SamplingAccountant,
-    deterministic_sample,
-    probabilistic_sample,
-    scale_counters,
-)
 
 __all__ = [
     "PacketRecord",
@@ -45,8 +38,4 @@ __all__ = [
     "encode_messages",
     "read_pcap",
     "write_pcap",
-    "deterministic_sample",
-    "probabilistic_sample",
-    "scale_counters",
-    "SamplingAccountant",
 ]

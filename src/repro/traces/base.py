@@ -245,22 +245,6 @@ class SyntheticTraceGenerator(TraceGenerator):
                     tcp_flags=int(flags[i]) if proto[index] == 6 else 0,
                 )
 
-    # -- reference statistics -----------------------------------------------------
-
-    def expected_single_packet_fraction(self, packet_count: int, trials: int = 200_000) -> float:
-        """Rough estimate of the fraction of flows that will see exactly one packet.
-
-        Used by calibration tests to check the generator produces the
-        heavy-tail shape the profile promises, without generating the full
-        trace twice.
-        """
-        self._ensure_population()
-        sample = self._popularity.sample(min(packet_count, trials))
-        _, counts = np.unique(sample, return_counts=True)
-        if len(counts) == 0:
-            return 0.0
-        return float(np.mean(counts == 1))
-
 
 def interleave_by_time(streams: Sequence[Iterator[PacketRecord]]) -> Iterator[PacketRecord]:
     """Merge several packet streams into one, ordered by timestamp.

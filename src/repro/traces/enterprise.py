@@ -73,11 +73,6 @@ class EnterpriseTraceGenerator(TraceGenerator):
         """The peer networks traffic originates from."""
         return self._peers
 
-    @property
-    def site_network(self) -> int:
-        """The site's customer prefix (network address as an integer)."""
-        return self._site_network
-
     def _ensure_population(self) -> None:
         if self._population is not None:
             return
@@ -130,11 +125,3 @@ class EnterpriseTraceGenerator(TraceGenerator):
                     protocol=int(proto[index]),
                     bytes=int(sizes[i]),
                 )
-
-    def peer_of(self, address: int) -> Optional[str]:
-        """Name of the peer a source address belongs to (``None`` if unknown)."""
-        for peer in self._peers:
-            mask = ((1 << peer.prefix_bits) - 1) << (32 - peer.prefix_bits)
-            if (address & mask) == ipv4_to_int(peer.prefix):
-                return peer.name
-        return None

@@ -14,11 +14,9 @@ from repro.analysis import (
     heavy_hitter_report,
     investigate,
     port_profile,
-    presence_by_threshold,
     render_kv,
     render_table,
     storage_report,
-    stratified_error,
     transfer_report,
 )
 from repro.baselines import ExactAggregator
@@ -127,21 +125,6 @@ class TestHeavyHitterAnalysis:
         assert report.recall == 1.0
         assert 0.0 < report.precision <= 1.0
         assert set(report.row()) >= {"precision", "recall", "true_heavy"}
-
-    def test_presence_by_threshold_monotone(self, workload):
-        _, tree, truth = workload
-        presence = presence_by_threshold(tree, truth, fractions=(0.0001, 0.01))
-        # Presence at a high threshold implies nothing about the low one, but
-        # the 1 % claim of the paper must hold.
-        assert presence[0.01] is True
-
-    def test_stratified_error_decreases_with_popularity(self, workload):
-        _, tree, truth = workload
-        strata = stratified_error(tree, truth, boundaries=(1, 10, 100))
-        assert len(strata) == 3
-        populated = [s for s in strata if s["flows"] > 0]
-        assert populated[0]["mean_relative_error"] >= populated[-1]["mean_relative_error"]
-        assert populated[-1]["present_fraction"] >= 0.9
 
 
 class TestStorageAndTransfer:

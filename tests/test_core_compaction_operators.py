@@ -9,17 +9,10 @@ from repro.core.flowtree import Flowtree
 from repro.core.key import FlowKey
 from repro.core.node import Counters
 from repro.core.operators import (
-    apply_diff,
     conservation_error,
-    counter_table,
-    diff_chain,
-    find_heavy_hitters,
     key_union,
     merge_all,
-    reconstruct_from_diffs,
     relative_change,
-    summary_distance,
-    total_traffic,
 )
 from repro.features.schema import SCHEMA_2F_SRC_DST, SCHEMA_4F
 from repro.traces import CaidaLikeTraceGenerator
@@ -132,7 +125,7 @@ class TestMergeAndDiff:
         after.add(key2("172.16.0.1", "192.0.2.1"), packets=4)
         delta = after.diff(before)
         assert delta.complementary_counters(key2("10.0.0.1", "192.0.2.1")).packets == 15
-        recovered = apply_diff(before, delta)
+        recovered = before.merged(delta)
         assert recovered.total_counters() == after.total_counters()
 
     def test_diff_can_go_negative(self):
@@ -158,18 +151,59 @@ class TestMergeAndDiff:
         ]
         merged = merge_all(trees)
         assert merged.total_counters().packets == thirds * 3
-        deltas = diff_chain(trees)
-        assert len(deltas) == 2
-        rebuilt = reconstruct_from_diffs(trees[0], deltas)
+        rebuilt = trees[0].copy()
+        for previous, current in zip(trees, trees[1:]):
+            rebuilt = rebuilt.merged(current.diff(previous))
         assert rebuilt.total_counters() == trees[2].total_counters()
 
     def test_merge_all_rejects_empty(self):
         with pytest.raises(SchemaMismatchError):
             merge_all([])
 
+    def test_merge_all_of_one_tree_is_an_independent_copy(self):
+        tree = Flowtree(SCHEMA_2F_SRC_DST)
+        tree.add(key2("10.0.0.1", "192.0.2.1"), packets=5)
+        result = merge_all([tree])
+        assert result is not tree
+        assert dict(result.items()) == dict(tree.items())
+        result.add(key2("10.0.0.1", "192.0.2.1"), packets=1)
+        assert tree.total_counters().packets == 5
+
+    def test_merged_leaves_both_operands_untouched(self, packet_stream_small):
+        a = build_tree(packet_stream_small[:500], max_nodes=None)
+        b = build_tree(packet_stream_small[500:1_000], max_nodes=None)
+        before_a, before_b = dict(a.items()), dict(b.items())
+        a.merged(b)
+        assert dict(a.items()) == before_a
+        assert dict(b.items()) == before_b
+
+    def test_diff_of_a_tree_with_itself_is_all_zero(self, packet_stream_small):
+        tree = build_tree(packet_stream_small[:1_000], max_nodes=200)
+        delta = tree.diff(tree.copy())
+        assert all(counters.is_zero for _, counters in delta.items())
+        delta.prune_zero_nodes()
+        assert len(delta) == 1  # only the root survives
+
+    def test_diff_rejects_schema_mismatch(self):
+        with pytest.raises(SchemaMismatchError):
+            Flowtree(SCHEMA_4F).diff(Flowtree(SCHEMA_2F_SRC_DST))
+
+    def test_diff_chain_reconstructs_every_bin_exactly(self, packet_stream_small):
+        """Unbounded bins: base + every delta so far gives each bin's own counters."""
+        quarter = len(packet_stream_small) // 4
+        bins = [
+            build_tree(packet_stream_small[i * quarter:(i + 1) * quarter], max_nodes=None)
+            for i in range(4)
+        ]
+        rebuilt = bins[0].copy()
+        for previous, current in zip(bins, bins[1:]):
+            rebuilt = rebuilt.merged(current.diff(previous))
+            nonzero = {key: c for key, c in rebuilt.items() if not c.is_zero}
+            assert nonzero == {key: c for key, c in current.items() if not c.is_zero}
+
 
 class TestOperatorHelpers:
-    def test_key_union_and_counter_table(self):
+    def test_key_union(self):
         a = Flowtree(SCHEMA_2F_SRC_DST)
         b = Flowtree(SCHEMA_2F_SRC_DST)
         a.add(key2("10.0.0.1", "192.0.2.1"), packets=5)
@@ -177,9 +211,56 @@ class TestOperatorHelpers:
         union = key_union([a, b])
         assert key2("10.0.0.1", "192.0.2.1") in union
         assert key2("172.16.0.1", "192.0.2.1") in union
-        table = counter_table([a, b])
-        assert table[key2("10.0.0.1", "192.0.2.1")] == [5, 0]
-        assert table[key2("172.16.0.1", "192.0.2.1")] == [0, 9]
+
+    def test_key_union_is_sorted_and_deduplicated(self):
+        a = Flowtree(SCHEMA_2F_SRC_DST)
+        b = Flowtree(SCHEMA_2F_SRC_DST)
+        for tree in (a, b):
+            tree.add(key2("10.0.0.1", "192.0.2.1"), packets=1)
+        b.add(key2("10.0.0.0/8", "*"), packets=1)
+        union = key_union([a, b])
+        assert len(union) == len(set(union))
+        assert set(union) == set(a.keys()) | set(b.keys())
+        specificities = [key.specificity for key in union]
+        assert specificities == sorted(specificities)
+        assert union[0].is_root
+
+    def test_key_union_of_no_trees_is_empty(self):
+        assert key_union([]) == []
+
+    def test_heavy_keys_keep_the_dominant_flow(self):
+        tree = Flowtree(SCHEMA_2F_SRC_DST)
+        tree.add(key2("10.0.0.1", "192.0.2.1"), packets=900)
+        tree.add(key2("172.16.0.1", "192.0.2.1"), packets=100)
+        heavy = tree.heavy_keys(0.5)
+        assert key2("10.0.0.1", "192.0.2.1") in heavy
+        assert key2("172.16.0.1", "192.0.2.1") not in heavy
+        # Cumulative popularity: every ancestor of a heavy key is heavy too.
+        assert any(key.is_root for key in heavy)
+        assert key2("172.16.0.1", "192.0.2.1") in tree.heavy_keys(0.1)
+
+    def test_relative_change_skips_unpopular_keys(self):
+        before = Flowtree(SCHEMA_2F_SRC_DST)
+        after = Flowtree(SCHEMA_2F_SRC_DST)
+        before.add(key2("10.0.0.1", "192.0.2.1"), packets=100)
+        after.add(key2("10.0.0.1", "192.0.2.1"), packets=50)
+        after.add(key2("172.16.0.1", "192.0.2.1"), packets=3)
+        changes = relative_change(before, after, min_popularity=10)
+        keys = [key for key, *_ in changes]
+        assert key2("172.16.0.1", "192.0.2.1") not in keys
+        entry = next(item for item in changes if item[0] == key2("10.0.0.1", "192.0.2.1"))
+        assert entry[1:] == (100, 50, pytest.approx(-0.5))
+
+    def test_relative_change_reads_the_requested_metric(self):
+        before = Flowtree(SCHEMA_2F_SRC_DST)
+        after = Flowtree(SCHEMA_2F_SRC_DST)
+        key = key2("10.0.0.1", "192.0.2.1")
+        before.add(key, packets=10, bytes=1_000)
+        after.add(key, packets=10, bytes=4_000)
+        by_packets = {k: change for k, _, _, change in relative_change(before, after)}
+        by_bytes = {k: change for k, _, _, change in relative_change(before, after, "bytes")}
+        assert by_packets[key] == 0.0
+        assert by_bytes[key] == pytest.approx(3.0)
 
     def test_relative_change_orders_by_magnitude(self):
         before = Flowtree(SCHEMA_2F_SRC_DST)
@@ -191,23 +272,20 @@ class TestOperatorHelpers:
         assert changes[0][0] == key2("172.16.0.1", "192.0.2.1")
         assert changes[0][3] == pytest.approx(500.0)
 
-    def test_summary_distance_bounds(self, packet_stream_small):
-        a = build_tree(packet_stream_small[:1_000], max_nodes=300)
-        b = build_tree(packet_stream_small[:1_000], max_nodes=300)
-        c = build_tree(packet_stream_small[1_000:2_000], max_nodes=300)
-        assert summary_distance(a, b) == pytest.approx(0.0)
-        assert 0.0 < summary_distance(a, c) <= 1.0
-        assert summary_distance(Flowtree(SCHEMA_4F), Flowtree(SCHEMA_4F)) == 0.0
-
-    def test_total_traffic_and_conservation(self, packet_stream_small):
+    def test_conservation_error(self, packet_stream_small):
         tree = build_tree(packet_stream_small, max_nodes=200)
         expected = Counters(
             packets=len(packet_stream_small),
             bytes=sum(p.bytes for p in packet_stream_small),
             flows=len(packet_stream_small),
         )
-        assert total_traffic([tree]) == expected.packets
         assert conservation_error(tree, expected) == {"packets": 0, "bytes": 0, "flows": 0}
+
+    def test_conservation_error_reports_the_shortfall(self):
+        tree = Flowtree(SCHEMA_2F_SRC_DST)
+        tree.add(key2("10.0.0.1", "192.0.2.1"), packets=7, bytes=700)
+        expected = Counters(packets=10, bytes=1_000, flows=1)
+        assert conservation_error(tree, expected) == {"packets": -3, "bytes": -300, "flows": 0}
 
     def test_cumulative_counters_match_subtree_sums(self, packet_stream_small):
         tree = build_tree(packet_stream_small[:2_000], max_nodes=200)
@@ -218,14 +296,3 @@ class TestOperatorHelpers:
             assert cumulative[key] == tree.subtree_counters(key)
         root_key = next(key for key in tree.keys() if key.is_root)
         assert cumulative[root_key] == tree.total_counters()
-
-    def test_find_heavy_hitters(self):
-        tree = Flowtree(SCHEMA_2F_SRC_DST)
-        tree.add(key2("10.0.0.1", "192.0.2.1"), packets=900)
-        tree.add(key2("172.16.0.1", "192.0.2.1"), packets=100)
-        hitters = find_heavy_hitters(tree, threshold_fraction=0.5)
-        keys = [key for key, _ in hitters]
-        assert key2("10.0.0.1", "192.0.2.1") in keys
-        assert key2("172.16.0.1", "192.0.2.1") not in keys
-        limited = find_heavy_hitters(tree, 0.01, max_results=1)
-        assert len(limited) == 1

@@ -1,5 +1,7 @@
 """Tests for FlowtreeConfig validation and node/counter primitives."""
 
+from dataclasses import replace
+
 import pytest
 
 from helpers import key2
@@ -61,18 +63,19 @@ class TestFlowtreeConfig:
         with pytest.raises(ConfigurationError):
             FlowtreeConfig(port_stride=17)
 
-    def test_with_max_nodes_copy(self):
-        config = FlowtreeConfig(max_nodes=1_000)
-        bigger = config.with_max_nodes(2_000)
-        assert bigger.max_nodes == 2_000
-        assert config.max_nodes == 1_000
 
-    def test_with_policy_copy(self):
-        config = FlowtreeConfig()
-        other = config.with_policy("field-order")
-        assert other.policy == "field-order"
+    def test_replace_copies_and_keeps_other_fields(self):
+        config = FlowtreeConfig(max_nodes=1_000, ip_stride=8)
+        changed = replace(config, policy="field-order")
+        assert changed.policy == "field-order"
+        assert (changed.max_nodes, changed.ip_stride) == (1_000, 8)
         assert config.policy == "round-robin"
 
+    def test_replace_is_validated(self):
+        with pytest.raises(ConfigurationError):
+            replace(FlowtreeConfig(), max_nodes=4)
+        with pytest.raises(ConfigurationError):
+            replace(FlowtreeConfig(), port_stride=0)
 
 class TestCounters:
     def test_add_and_subtract_in_place(self):

@@ -1,5 +1,6 @@
 """Tests for summary serialization and the query-helper layer."""
 
+import json
 import random
 import struct
 
@@ -10,14 +11,11 @@ from repro.core.config import FlowtreeConfig
 from repro.core.errors import SerializationError
 from repro.core.estimator import (
     children_of,
-    coverage,
-    decompose,
     drill_down,
     estimate_many,
     estimate_values,
 )
 from repro.core.flowtree import Flowtree
-from repro.core.key import FlowKey
 from repro.core.policy import available_policies
 from repro.core.serialization import (
     FORMAT_VERSION,
@@ -27,7 +25,6 @@ from repro.core.serialization import (
     encode_varint,
     encode_zigzag,
     from_bytes,
-    from_json,
     size_report,
     summary_header,
     to_bytes,
@@ -240,28 +237,36 @@ class TestBinaryFormatContract:
             backward.add(key, packets=packets)
         assert to_bytes(forward) == to_bytes(backward)
 
-    def test_json_and_binary_decode_to_the_same_tree(self, tree):
-        from_binary = from_bytes(to_bytes(tree))
-        from_text = from_json(to_json(tree))
-        assert to_bytes(from_binary) == to_bytes(from_text)
-        assert from_text.config.max_nodes == tree.config.max_nodes
-
 
 class TestJsonFormat:
-    def test_round_trip(self, packet_stream_small):
+    def test_document_lists_every_node(self, packet_stream_small):
         tree = Flowtree(SCHEMA_4F, FlowtreeConfig(max_nodes=200))
         tree.add_records(packet_stream_small[:1_000])
-        decoded = from_json(to_json(tree))
-        assert decoded.total_counters() == tree.total_counters()
-        assert len(decoded) == len(tree)
+        document = json.loads(to_json(tree))
+        assert document["format"] == "flowtree-json"
+        assert document["max_nodes"] == 200
+        assert len(document["nodes"]) == len(tree)
+        assert sum(node["packets"] for node in document["nodes"]) == tree.total_counters().packets
 
-    def test_rejects_non_flowtree_json(self):
-        with pytest.raises(SerializationError):
-            from_json('{"format": "something-else"}')
+    def test_document_keys_are_the_tree_keys(self, packet_stream_small):
+        tree = Flowtree(SCHEMA_4F, FlowtreeConfig(max_nodes=200))
+        tree.add_records(packet_stream_small[:1_000])
+        document = json.loads(to_json(tree))
+        assert {tuple(node["key"]) for node in document["nodes"]} == {
+            key.to_wire() for key in tree.keys()
+        }
+        # Most general first, so the root leads the list.
+        root = next(key for key in tree.keys() if key.is_root)
+        assert document["nodes"][0]["key"] == list(root.to_wire())
 
-    def test_rejects_invalid_json(self):
-        with pytest.raises(SerializationError):
-            from_json("{not json")
+    def test_document_names_schema_policy_and_version(self):
+        tree = Flowtree(SCHEMA_2F_SRC_DST, FlowtreeConfig(max_nodes=None, policy="field-order"))
+        document = json.loads(to_json(tree))
+        assert document["schema"] == SCHEMA_2F_SRC_DST.name
+        assert document["policy"] == "field-order"
+        assert document["max_nodes"] is None
+        assert document["version"] == FORMAT_VERSION
+        assert len(document["nodes"]) == 1  # an empty tree holds only its root
 
     def test_indentation_option(self):
         tree = Flowtree(SCHEMA_2F_SRC_DST)
@@ -286,18 +291,34 @@ class TestEstimatorHelpers:
         values = estimate_values(tree, keys)
         assert values[keys[1]] == 5
 
-    def test_decompose_sums_to_estimate(self, tree):
-        query = key4("10.0.0.0/8", "*", "*", "*")
-        terms = decompose(tree, query)
-        assert sum(term.value for term in terms) == tree.estimate(query).value()
-        assert all(term.kind in ("node", "residual") for term in terms)
+    def test_estimate_many_of_nothing_is_empty(self, tree):
+        assert estimate_many(tree, []) == {}
+        assert estimate_values(tree, iter(())) == {}
 
-    def test_decompose_kept_node(self, tree):
-        key = FlowKey.from_record(SCHEMA_4F, make_record(src="10.1.1.1", dport=443))
-        terms = decompose(tree, key)
-        assert len(terms) == 1
-        assert terms[0].kind == "node"
-        assert terms[0].value == 60
+    def test_estimate_many_rejects_wrong_arity(self, tree):
+        from repro.core.errors import QueryError
+
+        with pytest.raises(QueryError):
+            estimate_many(tree, [key2("10.0.0.0/8", "*")])
+
+    def test_estimate_many_answers_duplicates_once(self, tree):
+        key = key4("10.0.0.0/8", "*", "*", "*")
+        estimates = estimate_many(tree, [key, key, key])
+        assert list(estimates) == [key]
+        assert estimates[key].value() == tree.estimate(key).value() == 100
+
+    def test_estimate_values_reads_the_requested_metric(self, tree):
+        key = key4("10.0.0.0/8", "*", "*", "*")
+        assert estimate_values(tree, [key], metric="bytes")[key] == 300
+        assert estimate_values(tree, [key], metric="flows")[key] == 3
+
+    def test_children_of_folds_small_buckets_into_the_remainder(self, tree):
+        parent = key4("10.0.0.0/8", "*", "*", "*")
+        breakdown = children_of(tree, parent, feature_index=0, step=8, min_value=20)
+        rendered = {key.pretty(): value for key, value in breakdown}
+        assert not any("10.9.0.0/16" in name for name in rendered)
+        assert breakdown[-1] == (parent, 10)
+        assert sum(rendered.values()) == 100
 
     def test_children_of_breaks_down_by_feature(self, tree):
         breakdown = children_of(tree, key4("10.0.0.0/8", "*", "*", "*"), feature_index=0, step=8)
@@ -321,9 +342,3 @@ class TestEstimatorHelpers:
     def test_drill_down_stops_when_nothing_dominates(self, tree):
         path = drill_down(tree, key4("*", "*", "*", "*"), feature_index=0, step=8, dominance=0.99)
         assert path == []
-
-    def test_coverage(self, tree):
-        kept = FlowKey.from_record(SCHEMA_4F, make_record(src="10.1.1.1", dport=443))
-        missing = FlowKey.from_record(SCHEMA_4F, make_record(src="1.2.3.4", dport=9999))
-        assert coverage(tree, [kept, missing]) == 0.5
-        assert coverage(tree, []) == 0.0

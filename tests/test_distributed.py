@@ -71,14 +71,28 @@ class TestTransport:
         assert transport.bytes_sent(source="a") == 600
         assert transport.bytes_sent(destination="nowhere") == 0
 
-    def test_total_log_and_reset(self):
+    def test_bytes_sent_filters_by_both_endpoints(self):
+        transport = SimulatedTransport(overhead_bytes=0)
+        for name in ("a", "b", "c"):
+            transport.register(name)
+        transport.send("a", "c", SummaryMessage("a", 0, 0.0, 1.0, "full", b"x" * 10))
+        transport.send("b", "c", SummaryMessage("b", 0, 0.0, 1.0, "full", b"x" * 20))
+        transport.send("a", "b", SummaryMessage("a", 1, 0.0, 1.0, "full", b"x" * 40))
+        assert transport.bytes_sent() == 70
+        assert transport.bytes_sent(source="a") == 50
+        assert transport.bytes_sent(destination="c") == 30
+        assert transport.bytes_sent(source="a", destination="c") == 10
+        assert transport.channel_log("a", "c").messages == 1
+
+    def test_per_channel_returns_a_copy(self):
         transport = SimulatedTransport()
         transport.register("a")
         transport.register("b")
-        transport.send("a", "b", SummaryMessage("a", 0, 0.0, 1.0, "full", b"abc"))
-        assert transport.total_log().messages == 1
-        transport.reset_accounting()
-        assert transport.total_log().messages == 0
+        transport.send("a", "b", SummaryMessage("a", 0, 0.0, 1.0, "full", b"x"))
+        table = transport.per_channel()
+        assert set(table) == {("a", "b")}
+        table.clear()
+        assert set(transport.per_channel()) == {("a", "b")}
 
     def test_receive_limit(self):
         transport = SimulatedTransport()
@@ -102,7 +116,7 @@ class TestTransport:
         log = transport.channel_log("a", "b")  # never-used channel
         assert log.messages == 0
         assert transport.per_channel() == {}
-        assert transport.total_log().messages == 0
+        assert transport.bytes_sent() == 0
         # mutating the placeholder must not leak into the table either
         log.record(100, 10)
         assert transport.per_channel() == {}

@@ -1,12 +1,9 @@
 """Estimator invariants (property tests).
 
-The query decomposition and the batch/exploratory helpers still walk
-chains and whole node sets (ROADMAP: next optimization target), so their
-contracts are pinned here before that rework:
+The batch and exploratory helpers' contracts, for any tree — bounded or
+not — and any query key (kept, absent-specific, generalized on- or
+off-trajectory):
 
-* ``decompose()`` terms sum exactly to ``estimate()`` for any tree —
-  bounded or not — and any query key (kept, absent-specific, generalized
-  on- or off-trajectory);
 * ``estimate_many`` / ``estimate_values`` are literally the per-key
   ``estimate()`` answers;
 * ``children_of`` buckets partition the parent's estimate (with the
@@ -19,13 +16,7 @@ from hypothesis import strategies as st
 
 from helpers import SimpleRecord
 
-from repro.core import (
-    Flowtree,
-    FlowtreeConfig,
-    decompose,
-    estimate_many,
-    estimate_values,
-)
+from repro.core import Flowtree, FlowtreeConfig, estimate_many, estimate_values
 from repro.core.estimator import children_of, drill_down
 from repro.core.key import FlowKey
 from repro.features.schema import SCHEMA_4F
@@ -69,7 +60,7 @@ def _build_tree(records, config):
 
 def _query_keys(tree, records, generalize_steps):
     """Kept keys, absent fully-specific keys, and (possibly off-trajectory)
-    generalizations — the three shapes ``estimate`` decomposes differently."""
+    generalizations — the three shapes ``estimate`` answers differently."""
     keys = [FlowKey.from_record(SCHEMA_4F, record) for record in records[:8]]
     keys.append(FlowKey.from_record(
         SCHEMA_4F, _record(61, 6, 9, 8080, 1)))   # never in the stream
@@ -80,38 +71,6 @@ def _query_keys(tree, records, generalize_steps):
         keys.append(key)
     keys.append(FlowKey.root(SCHEMA_4F))
     return keys
-
-
-class TestDecomposition:
-    @settings(max_examples=25, deadline=None)
-    @given(
-        records=records_strategy,
-        config=config_strategy,
-        generalize_steps=st.lists(
-            st.lists(st.integers(0, 3), min_size=1, max_size=10), max_size=5
-        ),
-        metric=st.sampled_from(["packets", "bytes", "flows"]),
-    )
-    def test_terms_sum_to_estimate(self, records, config, generalize_steps, metric):
-        tree = _build_tree(records, config)
-        for key in _query_keys(tree, records, generalize_steps):
-            estimate = tree.estimate(key).value(metric)
-            terms = decompose(tree, key, metric=metric)
-            assert sum(term.value for term in terms) == estimate, key.pretty()
-            # Exactly answerable queries decompose into node terms only.
-            if key in tree:
-                assert all(term.kind == "node" for term in terms)
-            # At most one residual, always charged at the query key itself.
-            residuals = [term for term in terms if term.kind == "residual"]
-            assert len(residuals) <= 1
-            for residual in residuals:
-                assert residual.key == key
-
-    def test_zero_traffic_decomposes_to_nothing(self):
-        tree = Flowtree(SCHEMA_4F, FlowtreeConfig(max_nodes=None))
-        key = FlowKey.from_record(SCHEMA_4F, _record(1, 1, 1, 80, 1))
-        assert decompose(tree, key) == []
-        assert tree.estimate(key).value() == 0
 
 
 class TestBatchEstimates:

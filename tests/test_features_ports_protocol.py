@@ -5,7 +5,6 @@ import pytest
 from repro.features.base import FeatureError, ParseError
 from repro.features.ports import MAX_PORT, PORT_BITS, PortRange, well_known_service
 from repro.features.protocol import Protocol
-from repro.features.wildcard import CategoricalValue
 
 
 class TestPortRange:
@@ -134,36 +133,3 @@ class TestProtocol:
         assert Protocol.tcp().name == "tcp"
         assert Protocol(123).name == "proto-123"
         assert Protocol.root().name == "*"
-
-
-class TestCategoricalValue:
-    def test_basic_hierarchy(self):
-        value = CategoricalValue("site-A", domain="site")
-        assert value.specificity == 1
-        assert value.generalize().is_root
-        assert CategoricalValue.root("site").contains(value)
-
-    def test_domains_do_not_mix(self):
-        site = CategoricalValue("x", domain="site")
-        customer = CategoricalValue("x", domain="customer")
-        assert site != customer
-        assert not CategoricalValue.root("site").contains(customer)
-
-    def test_wire_round_trip(self):
-        value = CategoricalValue("edge-7", domain="router", domain_size=64)
-        decoded = CategoricalValue.from_wire(value.to_wire())
-        assert decoded == value
-        assert decoded.cardinality == 1
-        assert decoded.generalize().cardinality == 64
-
-    def test_rejects_reserved_characters(self):
-        with pytest.raises(FeatureError):
-            CategoricalValue("a|b", domain="site")
-
-    def test_rejects_bad_domain_size(self):
-        with pytest.raises(FeatureError):
-            CategoricalValue("a", domain="site", domain_size=0)
-
-    def test_rejects_non_string_value(self):
-        with pytest.raises(FeatureError):
-            CategoricalValue(42, domain="site")

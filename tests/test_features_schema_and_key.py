@@ -4,7 +4,7 @@ import pytest
 
 from helpers import key2, key4, make_record
 from repro.core.errors import KeyError_
-from repro.core.key import FlowKey, validate_same_arity
+from repro.core.key import FlowKey
 from repro.features.base import FeatureError
 from repro.features.ipaddr import IPv4Prefix
 from repro.features.ports import PortRange
@@ -163,10 +163,3 @@ class TestFlowKey:
     def test_wire_arity_mismatch(self):
         with pytest.raises(KeyError_):
             FlowKey.from_wire(SCHEMA_4F, ("*", "*"))
-
-    def test_validate_same_arity(self):
-        assert validate_same_arity([key2("*", "*"), key2("10.0.0.0/8", "*")]) == 2
-        with pytest.raises(KeyError_):
-            validate_same_arity([key2("*", "*"), key4("*", "*", "*", "*")])
-        with pytest.raises(KeyError_):
-            validate_same_arity([])

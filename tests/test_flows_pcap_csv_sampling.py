@@ -1,20 +1,14 @@
-"""Tests for the pcap reader/writer, CSV archives and sampling."""
+"""Tests for the pcap reader/writer and CSV archives."""
 
 import io
 
 import pytest
 
-from repro.core.errors import ConfigurationError, SerializationError
+from repro.core.errors import SerializationError
 from repro.features.ipaddr import ipv4_to_int
 from repro.flows.csv_io import csv_export_size, flows_to_csv_text, read_csv, write_csv
 from repro.flows.pcap import read_pcap, write_pcap
 from repro.flows.records import FlowRecord, PacketRecord
-from repro.flows.sampling import (
-    SamplingAccountant,
-    deterministic_sample,
-    probabilistic_sample,
-    scale_counters,
-)
 
 
 class TestPcap:
@@ -100,44 +94,3 @@ class TestCsv:
         with pytest.raises(SerializationError) as excinfo:
             list(read_csv(io.StringIO(text)))
         assert "line 2" in str(excinfo.value)
-
-
-class TestSampling:
-    def test_deterministic_keeps_every_nth(self):
-        kept = list(deterministic_sample(range(100), rate=10))
-        assert kept == list(range(0, 100, 10))
-
-    def test_deterministic_rate_one_keeps_all(self):
-        assert list(deterministic_sample(range(5), rate=1)) == [0, 1, 2, 3, 4]
-
-    def test_deterministic_rejects_bad_rate(self):
-        with pytest.raises(ConfigurationError):
-            list(deterministic_sample(range(5), rate=0))
-
-    def test_probabilistic_is_reproducible_and_plausible(self):
-        kept_a = list(probabilistic_sample(range(10_000), probability=0.1, seed=3))
-        kept_b = list(probabilistic_sample(range(10_000), probability=0.1, seed=3))
-        assert kept_a == kept_b
-        assert 700 < len(kept_a) < 1_300
-
-    def test_probabilistic_rejects_bad_probability(self):
-        with pytest.raises(ConfigurationError):
-            list(probabilistic_sample(range(5), probability=0.0))
-
-    def test_scale_counters(self):
-        assert scale_counters(7, 100) == 700
-        with pytest.raises(ConfigurationError):
-            scale_counters(7, 0)
-
-    def test_accountant_tracks_achieved_rate(self):
-        accountant = SamplingAccountant()
-        stream = accountant.saw(range(1_000))
-        sampled = deterministic_sample(stream, rate=10)
-        kept = list(accountant.kept(sampled))
-        assert accountant.seen == 1_000
-        assert accountant.retained == len(kept) == 100
-        assert accountant.achieved_rate == pytest.approx(10.0)
-
-    def test_accountant_empty(self):
-        accountant = SamplingAccountant()
-        assert accountant.achieved_rate == 0.0

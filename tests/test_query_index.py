@@ -22,7 +22,6 @@ from repro.core import (
     Flowtree,
     FlowtreeConfig,
     children_of,
-    decompose,
     drill_down,
     estimate_many,
     from_bytes,
@@ -34,7 +33,6 @@ from repro.core.key import FlowKey
 from repro.core.query import signature_at
 from repro.core.reference import (
     walk_children_of,
-    walk_decompose,
     walk_drill_down,
     walk_estimate,
 )
@@ -105,9 +103,6 @@ def _assert_indexed_matches_reference(tree, records):
     keys = _query_keys(records)
     for key in keys:
         _assert_same_estimate(tree, key)
-        terms = decompose(tree, key)
-        naive_terms = walk_decompose(tree, key)
-        assert [(t.key, t.kind, t.value) for t in terms] == naive_terms, key.pretty()
     answers = estimate_many(tree, keys)
     for key in keys:
         single = tree.estimate(key)
@@ -261,8 +256,6 @@ class TestQueryApiContracts:
         bad = FlowKey.root(SCHEMA_2F_SRC_DST)
         with pytest.raises(QueryError):
             tree.estimate(bad)
-        with pytest.raises(QueryError):
-            decompose(tree, bad)
         with pytest.raises(QueryError):
             estimate_many(tree, [bad])
 

@@ -155,7 +155,7 @@ class TestServerRebind:
         with Deployment(
             SCHEMA_2F_SRC_DST, ["nyc", "lax"], bin_width=60.0, transport="tcp"
         ) as deployment:
-            supervisor = Supervisor.for_deployment(deployment)
+            supervisor = deployment.supervisor()
             server = deployment.servers[0]
             server.stop()
             assert not server.running

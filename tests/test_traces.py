@@ -157,7 +157,15 @@ class TestTraceGenerators:
         packets = list(generator.packets(5_000))
         site = ipv4_to_int("100.64.0.0")
         assert all((p.dst_ip & 0xFFFF0000) == site for p in packets)
-        peers = {generator.peer_of(p.src_ip) for p in packets}
+
+        def peer_of(address):
+            for peer in generator.peers:
+                mask = ((1 << peer.prefix_bits) - 1) << (32 - peer.prefix_bits)
+                if address & mask == ipv4_to_int(peer.prefix):
+                    return peer.name
+            return None
+
+        peers = {peer_of(p.src_ip) for p in packets}
         assert None not in peers
         assert len(peers) == 5
 
