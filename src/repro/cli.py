@@ -149,8 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint = subparsers.add_parser(
         "lint",
         help="run flowlint, the AST invariant linter, over source trees "
-             "(exits 0=clean 1=findings 2=usage error; --format json emits "
-             "a versioned report, see `flowtree lint --help`)",
+             "(exits 0=clean 1=findings 2=usage error; see `flowtree lint --help`)",
         add_help=False,
     )
     lint.add_argument(

@@ -53,6 +53,5 @@ class FaultError(FlowtreeError):
     """An injected failure from a :class:`~repro.distributed.faults.FaultPlan`.
 
     Distinct from the organic error types so tests can assert that a
-    failure came from the harness, and so swallowing one can be linted
-    against (see the ``fault-reporting`` flowlint rule).
+    failure came from the harness.
     """

@@ -3,7 +3,6 @@
 Home of :mod:`repro.devtools.lint` (*flowlint*), the AST-based invariant
 linter that statically enforces the cross-module contracts the runtime
 tests can only catch after the fact: cache-coherence of the subtree
-aggregates, the temp-then-rename commit discipline of the durable stores,
-wire-format version pinning, fold determinism
-and exception hygiene.
+aggregates, fold determinism, exception hygiene, and the lock discipline
+and thread confinement of state shared across threads.
 """

@@ -3,7 +3,8 @@
 Public surface:
 
 * :func:`repro.devtools.lint.engine.main` — the CLI (also behind
-  ``flowtree lint``),
+  ``flowtree lint``): paths to lint, ``--select RULE`` and
+  ``--list-rules``,
 * :func:`repro.devtools.lint.engine.run` / ``check_source`` /
   ``check_project_sources`` — programmatic linting (what the test
   fixtures drive),
@@ -13,9 +14,8 @@ Public surface:
   graph + thread roots over ``src/repro``) instead of one file's AST.
 
 See the package README section "Static analysis & development" for the
-rule battery, the suppression syntax
-(``# flowlint: disable=<rule>[,<rule>...]``), the ``--jobs`` /
-``--dump-callgraph`` flags, and the version-2 JSON report schema.
+five rules and the suppression syntax
+(``# flowlint: disable=<rule>[,<rule>...]``).
 """
 
 from repro.devtools.lint.engine import (  # noqa: F401
@@ -25,13 +25,11 @@ from repro.devtools.lint.engine import (  # noqa: F401
     Finding,
     ProjectRule,
     REGISTRY,
-    REPORT_VERSION,
     Rule,
     all_rules,
     check_project_sources,
     check_source,
     main,
-    report_json,
     report_text,
     run,
 )

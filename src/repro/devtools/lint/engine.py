@@ -3,21 +3,19 @@
 flowlint is a repo-specific static-analysis pass.  Each rule is a small
 AST visitor registered with :func:`register`; the engine owns everything
 around the rules — file discovery, parsing, per-line ``# flowlint:
-disable=<rule>`` suppressions, text/JSON reporting and exit codes — so a
+disable=<rule>`` suppressions, the text report and exit codes — so a
 new invariant costs exactly one rule module (see
 :mod:`repro.devtools.lint.rules`).
 
-Exit codes: ``0`` clean, ``1`` findings (or unparseable input), ``2``
-usage errors.  ``--format json`` emits a stable machine-readable report
-(schema documented on :func:`report_json`).
+The CLI takes the paths to lint, ``--select RULE`` (repeatable) and
+``--list-rules``.  Exit codes: ``0`` clean, ``1`` findings (or
+unparseable input), ``2`` usage errors.
 
 Two kinds of rules coexist: per-file :class:`Rule` subclasses see one
 :class:`FileContext` at a time, while :class:`ProjectRule` subclasses run
 once over the :class:`~repro.devtools.lint.project.ProjectModel` linked
 from every analyzed file — that is how the concurrency rules see a thread
-started in one module mutate state defined in another.  File analysis
-(parse + per-file rules + project extraction) is embarrassingly parallel;
-``--jobs N`` fans it out over worker processes.
+started in one module mutate state defined in another.
 """
 
 from __future__ import annotations
@@ -25,11 +23,10 @@ from __future__ import annotations
 import argparse
 import ast
 import io
-import json
 import re
 import sys
 import tokenize
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -44,10 +41,6 @@ from repro.devtools.lint.project import (
 EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
 EXIT_USAGE = 2
-
-#: JSON report schema version (bump when the report shape changes).
-#: Version 2 added per-finding ``severity`` (PR 10).
-REPORT_VERSION = 2
 
 _SUPPRESS_RE = re.compile(r"#\s*flowlint:\s*disable=([A-Za-z0-9_,\- ]+)")
 
@@ -64,24 +57,10 @@ class Finding:
     line: int
     col: int
     message: str
-    #: ``"error"`` (contract violation) or ``"warning"`` (heuristic smell).
-    #: Advisory metadata only: any finding still exits 1.
-    severity: str = field(default="error", compare=False)
 
     def format_text(self) -> str:
         """``path:line:col: rule: message`` (the text-output line)."""
         return f"{self.path}:{self.line}:{self.col}: {self.rule}: {self.message}"
-
-    def as_json(self) -> Dict[str, object]:
-        """JSON-report entry for this finding."""
-        return {
-            "rule": self.rule,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-            "severity": self.severity,
-        }
 
 
 class FileContext:
@@ -139,8 +118,6 @@ class Rule:
     name: str = ""
     #: One-line human description (shown by ``--list-rules``).
     description: str = ""
-    #: Default severity of this rule's findings (``error`` or ``warning``).
-    severity: str = "error"
 
     def applies_to(self, path: str) -> bool:
         """Whether this rule runs on ``path`` (posix-style, repo-relative)."""
@@ -160,7 +137,6 @@ class Rule:
             line=getattr(node, "lineno", 1),
             col=getattr(node, "col_offset", 0) + 1,
             message=message,
-            severity=self.severity,
         )
 
 
@@ -185,8 +161,7 @@ class ProjectRule(Rule):
     ) -> Finding:
         """Build a finding at an explicit location (no ``FileContext``)."""
         return Finding(
-            rule=self.name, path=path, line=line, col=col + 1,
-            message=message, severity=self.severity,
+            rule=self.name, path=path, line=line, col=col + 1, message=message,
         )
 
 
@@ -337,49 +312,14 @@ def _report_path(path: Path) -> str:
         return path.as_posix()
 
 
-def _analyze_one_file(
-    path_text: str, report_path: str, select: Optional[Tuple[str, ...]]
-) -> "Tuple[List[Finding], Optional[FileSummary]]":
-    """Per-file work unit: per-file rules + project extraction.
-
-    Module-level and driven by plain strings so ``--jobs`` can ship it to
-    worker processes (the rule registry re-imports on the worker side).
-    """
-    rules = all_rules()
-    if select:
-        rules = [rule for rule in rules if rule.name in select]
-    file_rules = [rule for rule in rules if not isinstance(rule, ProjectRule)]
-    wants_project = any(isinstance(rule, ProjectRule) for rule in rules)
-    source = Path(path_text).read_text(encoding="utf-8")
-    findings = check_source(source, report_path, rules=file_rules)
-    summary: Optional[FileSummary] = None
-    if wants_project and not any(f.rule == "parse-error" for f in findings):
-        summary = extract_file(
-            report_path, source, suppressions=_collect_suppressions(source)
-        )
-    return findings, summary
-
-
-def _analyze_one_file_job(
-    job: "Tuple[str, str, Optional[Tuple[str, ...]]]",
-) -> "Tuple[List[Finding], Optional[FileSummary]]":
-    return _analyze_one_file(*job)
-
-
 def run(
-    paths: Sequence[str],
-    select: Optional[Sequence[str]] = None,
-    jobs: int = 1,
-    project_sink: Optional[List[ProjectModel]] = None,
+    paths: Sequence[str], select: Optional[Sequence[str]] = None
 ) -> "Tuple[List[Finding], int]":
     """Lint ``paths`` with every registered rule (or a ``select`` subset).
 
-    Per-file analysis runs serially by default; ``jobs > 1`` fans it out
-    over that many worker processes (``jobs=0`` means one per CPU).  The
-    project link + project rules always run in this process, over the
-    summaries the file pass produced.  ``project_sink``, when given, is
-    appended the linked :class:`ProjectModel` (the ``--dump-callgraph``
-    hook).  Returns ``(findings, files_checked)``.
+    Each file gets the per-file rules and, when a project rule is
+    selected, a project-model extraction; the project rules then run once
+    over the linked summaries.  Returns ``(findings, files_checked)``.
     """
     rules = all_rules()
     if select:
@@ -388,35 +328,21 @@ def run(
             raise ValueError(f"unknown rule(s): {', '.join(unknown)}")
         rules = [rule for rule in rules if rule.name in select]
     project_rules = [rule for rule in rules if isinstance(rule, ProjectRule)]
-    select_names = tuple(sorted(rule.name for rule in rules))
-    job_list = [
-        (str(file_path), _report_path(file_path), select_names)
-        for file_path in iter_python_files(paths)
-    ]
+    file_rules = [rule for rule in rules if not isinstance(rule, ProjectRule)]
+    files = list(iter_python_files(paths))
     findings: List[Finding] = []
     summaries: List[Optional[FileSummary]] = []
-    if jobs == 1 or len(job_list) <= 1:
-        results = map(_analyze_one_file_job, job_list)
-    else:
-        import concurrent.futures
-        import os
-
-        max_workers = jobs if jobs > 0 else (os.cpu_count() or 1)
-        executor = concurrent.futures.ProcessPoolExecutor(max_workers=max_workers)
-        try:
-            results = list(executor.map(
-                _analyze_one_file_job, job_list,
-                chunksize=max(1, len(job_list) // (max_workers * 4)),
-            ))
-        finally:
-            executor.shutdown()
-    for file_findings, summary in results:
+    for file_path in files:
+        report_path = _report_path(file_path)
+        source = file_path.read_text(encoding="utf-8")
+        file_findings = check_source(source, report_path, rules=file_rules)
         findings.extend(file_findings)
-        summaries.append(summary)
-    if project_rules or project_sink is not None:
+        if project_rules and not any(f.rule == "parse-error" for f in file_findings):
+            summaries.append(extract_file(
+                report_path, source, suppressions=_collect_suppressions(source)
+            ))
+    if project_rules:
         project = build_project(summaries)
-        if project_sink is not None:
-            project_sink.append(project)
         for rule in project_rules:
             for finding in rule.check_project(project):
                 if not project.is_suppressed_at(
@@ -424,7 +350,7 @@ def run(
                 ):
                     findings.append(finding)
         findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return findings, len(job_list)
+    return findings, len(files)
 
 
 # -- reporting --------------------------------------------------------------------
@@ -438,28 +364,6 @@ def report_text(findings: Sequence[Finding], files_checked: int) -> str:
     return "\n".join(lines)
 
 
-def report_json(findings: Sequence[Finding], files_checked: int) -> str:
-    """Machine-readable report.
-
-    Schema (``version`` = :data:`REPORT_VERSION`)::
-
-        {"version": 2,
-         "files_checked": <int>,
-         "findings": [{"rule", "path", "line", "col", "message",
-                       "severity"}, ...]}
-
-    ``severity`` is ``"error"`` or ``"warning"`` (advisory only — any
-    finding exits 1).  Version 1 reports lacked the field; consumers
-    should reject versions they do not know.
-    """
-    document = {
-        "version": REPORT_VERSION,
-        "files_checked": files_checked,
-        "findings": [finding.as_json() for finding in findings],
-    }
-    return json.dumps(document, indent=2, sort_keys=True)
-
-
 # -- CLI --------------------------------------------------------------------------
 
 
@@ -471,13 +375,9 @@ def build_arg_parser(prog: str = "flowlint") -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
         epilog=(
             "exit codes:\n"
-            f"  0  clean (no findings)\n"
-            f"  1  findings reported\n"
-            f"  2  usage error (bad path, unknown rule)\n"
-            f"\n"
-            f"The JSON report carries schema version {REPORT_VERSION} in its "
-            f"top-level \"version\" field;\nconsumers should reject documents "
-            f"with a version they do not know."
+            "  0  clean (no findings)\n"
+            "  1  findings reported\n"
+            "  2  usage error (bad path, unknown rule)"
         ),
     )
     parser.add_argument(
@@ -485,34 +385,12 @@ def build_arg_parser(prog: str = "flowlint") -> argparse.ArgumentParser:
         help="files or directories to lint (default: src tests benchmarks)",
     )
     parser.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help=f"report format (default: text; json emits report schema "
-             f"version {REPORT_VERSION})",
-    )
-    parser.add_argument(
         "--select", action="append", default=None, metavar="RULE",
         help="run only the named rule (repeatable)",
     )
     parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="analyze files in N worker processes (0 = one per CPU; "
-             "default: 1, in-process). The project link and project "
-             "rules always run in the parent process.",
-    )
-    parser.add_argument(
-        "--dump-callgraph", metavar="FILE", default=None,
-        help="also write the linked call graph (scopes, edges, thread "
-             "roots, lock attributes) as JSON to FILE",
-    )
-    parser.add_argument(
         "--list-rules", action="store_true",
         help="list registered rules and exit",
-    )
-    parser.add_argument(
-        "--update-wire-manifest", action="store_true",
-        help="regenerate the wire-format fingerprint manifest from the "
-             "current encoder/decoder bodies (the one sanctioned path to "
-             "green after an intentional FORMAT_VERSION bump) and exit",
     )
     return parser
 
@@ -528,41 +406,17 @@ def main(argv: Optional[Sequence[str]] = None, prog: str = "flowlint") -> int:
         return int(exc.code or 0)
 
     if args.list_rules:
-        for rule in all_rules():
+        rules = all_rules()
+        for rule in rules:
             print(f"{rule.name}: {rule.description}")
-        print(
-            f"flowlint: {len(all_rules())} rules; exit codes 0=clean "
-            f"1=findings 2=usage; JSON report schema version {REPORT_VERSION}"
-        )
+        print(f"flowlint: {len(rules)} rules; exit codes 0=clean 1=findings 2=usage")
         return EXIT_CLEAN
 
-    if args.update_wire_manifest:
-        from repro.devtools.lint.rules.wire_format import update_manifest
-
-        manifest_path = update_manifest()
-        print(f"flowlint: wire-format manifest regenerated -> {manifest_path}")
-        return EXIT_CLEAN
-
-    project_sink: Optional[List[ProjectModel]] = (
-        [] if args.dump_callgraph else None
-    )
     try:
-        findings, files_checked = run(
-            args.paths, select=args.select, jobs=args.jobs,
-            project_sink=project_sink,
-        )
+        findings, files_checked = run(args.paths, select=args.select)
     except (FileNotFoundError, ValueError) as exc:
         print(f"flowlint: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    if args.dump_callgraph and project_sink:
-        Path(args.dump_callgraph).write_text(
-            json.dumps(project_sink[0].dump(), indent=2, sort_keys=True),
-            encoding="utf-8",
-        )
-
-    if args.format == "json":
-        print(report_json(findings, files_checked))
-    else:
-        print(report_text(findings, files_checked))
+    print(report_text(findings, files_checked))
     return EXIT_FINDINGS if findings else EXIT_CLEAN

@@ -1,10 +1,9 @@
 """Small AST utilities shared by the flowlint rules.
 
 The rules reason in *lexical scopes*: a mutation and the invalidation that
-sanctions it must appear in the same function body, a temp-file write and
-its ``os.replace`` commit likewise.  These helpers give every rule the
-same notion of scope and the same attribute-chain matching, so the rules
-stay one screen each.
+sanctions it must appear in the same function body.  These helpers give
+every rule the same notion of scope and the same attribute-chain
+matching, so the rules stay one screen each.
 """
 
 from __future__ import annotations
@@ -79,21 +78,6 @@ def call_name(node: ast.Call) -> Optional[str]:
         return func.id
     if isinstance(func, ast.Attribute):
         return func.attr
-    return None
-
-
-def scope_calls(scope: ScopeNode, names: Tuple[str, ...]) -> bool:
-    """``True`` when the scope lexically contains a call to any of ``names``."""
-    for node in iter_scope_nodes(scope):
-        if isinstance(node, ast.Call) and call_name(node) in names:
-            return True
-    return False
-
-
-def string_value(node: ast.AST) -> Optional[str]:
-    """The literal value of a string constant node, else ``None``."""
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return node.value
     return None
 
 

@@ -1,25 +1,22 @@
 """Project-wide analysis model for the concurrency rules.
 
-Per-file rules see one ``ast.Module`` at a time; the three concurrency
-rules (lock-discipline, blocking-in-async, thread-confinement) need to
-know what the *whole* of ``src/repro`` does: which scopes run on which
-thread, who calls whom, and which locks are held on the way.  This module
-builds that model in two stages:
+Per-file rules see one ``ast.Module`` at a time; the two concurrency
+rules (lock-discipline, thread-confinement) need to know what the
+*whole* of ``src/repro`` does: which scopes run on which thread, who
+calls whom, and which locks are held on the way.  This module builds
+that model in two stages:
 
 1. **Extraction** (:func:`extract_file`) — a single AST pass per file
-   producing a picklable :class:`FileSummary`: every scope's attribute
-   accesses (with the ``with <lock>:`` stack lexically in force), its
-   calls, and the thread/process/event-loop spawn points it contains.
-   Extraction is per-file and side-effect free, so ``--jobs`` can run it
-   in worker processes.
+   producing a :class:`FileSummary`: every scope's attribute accesses
+   (with the ``with <lock>:`` stack lexically in force), its calls, and
+   the thread/process/event-loop spawn points it contains.
 
 2. **Linking** (:func:`build_project`) — merges the summaries into a
    :class:`ProjectModel`: a symbol table of classes and functions, an
    approximate call graph, the set of *thread roots* (``Thread(target=
    ...)`` targets, executor submissions, coroutines handed to an event
-   loop), per-root reachability with the locks guaranteed held along
-   every discovered path, and the scopes that run on the asyncio event
-   loop.
+   loop), and per-root reachability with the locks guaranteed held along
+   every discovered path.
 
 The call graph is deliberately conservative: an edge exists only when
 the receiver's type is actually known — ``self.m()``, a constructor-bound
@@ -57,14 +54,6 @@ MUTATING_METHODS = frozenset({
     "clear", "sort", "reverse", "__setitem__",
 })
 
-#: Callables whose *argument* is scheduled onto an event loop rather than
-#: executed inline (exempts ``ensure_future(queue.get())`` and friends
-#: from blocking-in-async, and marks the argument as loop-hosted).
-SCHEDULING_CALLS = frozenset({
-    "ensure_future", "create_task", "run_coroutine_threadsafe",
-    "wait_for", "gather", "wait", "shield", "as_completed",
-})
-
 #: ``loop.call_soon(cb)``-style APIs: the callback runs on the event loop.
 _LOOP_CALLBACK_APIS = frozenset({
     "call_soon", "call_soon_threadsafe", "call_later", "call_at",
@@ -73,7 +62,7 @@ _LOOP_CALLBACK_APIS = frozenset({
 _DUNDER_INIT_NAMES = frozenset({"__init__", "__new__", "__post_init__"})
 
 
-# -- picklable per-file facts ------------------------------------------------------
+# -- per-file facts ----------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -93,15 +82,8 @@ class CallSite:
     """One call expression, as seen from the calling scope."""
 
     chain: Tuple[str, ...]
-    line: int
-    col: int
+    #: Lock ids lexically held (``with`` stack) at the call.
     locks: Tuple[str, ...]
-    arg_count: int
-    #: ``True`` when any argument or keyword is passed (timeouts etc.).
-    has_args: bool
-    awaited: bool
-    #: Direct argument of a :data:`SCHEDULING_CALLS` call.
-    scheduled: bool
 
 
 @dataclass(frozen=True)
@@ -116,7 +98,6 @@ class SpawnSite:
     kind: str
     target: Tuple[str, ...]
     receiver: Tuple[str, ...]
-    line: int
 
 
 @dataclass(frozen=True)
@@ -125,8 +106,6 @@ class ScopeInfo:
 
     qualname: str
     cls: Optional[str]
-    is_async: bool
-    line: int
     accesses: Tuple[Access, ...]
     calls: Tuple[CallSite, ...]
     spawns: Tuple[SpawnSite, ...]
@@ -136,9 +115,6 @@ class ScopeInfo:
     local_types: Tuple[Tuple[str, str], ...]
     #: ``(local, self-attr)`` for ``x = self._attr`` / ``self._attr[i]`` aliases.
     self_aliases: Tuple[Tuple[str, str], ...]
-    #: Locals bound from ``ensure_future(...)`` / ``create_task(...)`` —
-    #: their ``.result()`` after the task completed is not a blocking call.
-    task_locals: Tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -157,7 +133,7 @@ class ClassInfo:
 
 @dataclass(frozen=True)
 class FileSummary:
-    """Everything :func:`build_project` needs from one file — picklable."""
+    """Everything :func:`build_project` needs from one file."""
 
     path: str
     module: str
@@ -167,7 +143,7 @@ class FileSummary:
     #: ``(local name, dotted origin)`` import map.
     imports: Tuple[Tuple[str, str], ...]
     #: ``(line, disabled-rule-names)`` — carried so project findings can be
-    #: suppressed without re-reading the file in the parent process.
+    #: suppressed without re-reading the file.
     suppressions: Tuple[Tuple[int, Tuple[str, ...]], ...]
 
 
@@ -296,7 +272,6 @@ class _ScopeExtractor:
         self.spawns: List[SpawnSite] = []
         self.local_types: Dict[str, str] = {}
         self.self_aliases: Dict[str, str] = {}
-        self.task_locals: Set[str] = set()
         self._locks: List[str] = []
 
     # -- lock ids -------------------------------------------------------------
@@ -372,27 +347,12 @@ class _ScopeExtractor:
     def _maybe_alias(self, target: ast.expr, value: ast.expr) -> None:
         """Track ``x = self._attr`` (and one-subscript/.get views into it)."""
         node = value
-        if isinstance(node, ast.Await):
-            # `done, pending = await asyncio.wait(...)`: everything bound
-            # from an awaited task-collecting call holds *completed* tasks,
-            # whose `.result()` does not block.
-            inner = node.value
-            if isinstance(inner, ast.Call):
-                chain = attribute_chain(inner.func) or []
-                if chain and chain[-1] in SCHEDULING_CALLS:
-                    for name_node in ast.walk(target):
-                        if isinstance(name_node, ast.Name):
-                            self.task_locals.add(name_node.id)
-            return
         if not isinstance(target, ast.Name):
             return
         if isinstance(node, ast.Call):
             func = node.func
             name = func.attr if isinstance(func, ast.Attribute) else None
             chain = attribute_chain(func)
-            if chain and chain[-1] in ("ensure_future", "create_task"):
-                self.task_locals.add(target.id)
-                return
             if name == "get" and isinstance(func, ast.Attribute):
                 node = func.value
             else:
@@ -422,57 +382,52 @@ class _ScopeExtractor:
                 self.spawns.append(SpawnSite(
                     kind="thread" if last == "Thread" else "process",
                     target=self._chain_of_target(target),
-                    receiver=(), line=call.lineno,
+                    receiver=(),
                 ))
         elif last in ("submit", "map") and len(chain) >= 2 and call.args:
             self.spawns.append(SpawnSite(
                 kind="executor",
                 target=self._chain_of_target(call.args[0]),
-                receiver=tuple(chain[:-1]), line=call.lineno,
+                receiver=tuple(chain[:-1]),
             ))
         elif last == "run_coroutine_threadsafe" and call.args:
             self.spawns.append(SpawnSite(
                 kind="loop", target=self._chain_of_target(call.args[0]),
-                receiver=(), line=call.lineno,
+                receiver=(),
             ))
         elif last == "start_server" and call.args:
             self.spawns.append(SpawnSite(
                 kind="loop", target=self._chain_of_target(call.args[0]),
-                receiver=(), line=call.lineno,
+                receiver=(),
             ))
         elif last in _LOOP_CALLBACK_APIS:
             index = 1 if last in ("call_later", "call_at") else 0
             if len(call.args) > index:
                 self.spawns.append(SpawnSite(
                     kind="loop", target=self._chain_of_target(call.args[index]),
-                    receiver=(), line=call.lineno,
+                    receiver=(),
                 ))
         elif last in ("ensure_future", "create_task") and call.args:
             self.spawns.append(SpawnSite(
                 kind="loop", target=self._chain_of_target(call.args[0]),
-                receiver=(), line=call.lineno,
+                receiver=(),
             ))
         elif last in ("schedule", "run") and len(chain) >= 2 and call.args:
             # `runtime.schedule(coro())` — narrowed to a loop spawn at link
             # time iff the receiver resolves to an event-loop host class.
             self.spawns.append(SpawnSite(
                 kind="maybe-loop", target=self._chain_of_target(call.args[0]),
-                receiver=tuple(chain[:-1]), line=call.lineno,
+                receiver=tuple(chain[:-1]),
             ))
 
-    def _visit_call(self, call: ast.Call, awaited: bool, scheduled: bool) -> None:
+    def _visit_call(self, call: ast.Call) -> None:
         chain = tuple(attribute_chain(call.func) or ())
         if not chain and isinstance(call.func, ast.Attribute):
             # `submit(...).result()` and similar call-in-the-middle chains:
             # keep the method name so blocking patterns still match.
             chain = ("*", call.func.attr)
         if chain:
-            has_args = bool(call.args or call.keywords)
-            self.calls.append(CallSite(
-                chain=chain, line=call.lineno, col=call.col_offset,
-                locks=self._held(), arg_count=len(call.args),
-                has_args=has_args, awaited=awaited, scheduled=scheduled,
-            ))
+            self.calls.append(CallSite(chain=chain, locks=self._held()))
             self._record_spawn(call, chain)
             # A mutating method call on a self attribute is a write access;
             # any other attribute-method call reads the attribute.
@@ -482,11 +437,10 @@ class _ScopeExtractor:
                     write = chain[-1] in MUTATING_METHODS
                     if write or not found[2]:
                         self._record_access(found[0], found[1], write=write)
-        child_scheduler = chain[-1] in SCHEDULING_CALLS if chain else False
         for arg in call.args:
-            self._visit(arg, scheduled=child_scheduler)
+            self._visit(arg)
         for keyword in call.keywords:
-            self._visit(keyword.value, scheduled=child_scheduler)
+            self._visit(keyword.value)
         if isinstance(call.func, (ast.Call, ast.Subscript, ast.Lambda)):
             self._visit(call.func)
 
@@ -496,8 +450,7 @@ class _ScopeExtractor:
         for stmt in getattr(scope, "body", []):
             self._visit(stmt)
 
-    def _visit(self, node: ast.AST, awaited: bool = False,
-               scheduled: bool = False) -> None:
+    def _visit(self, node: ast.AST) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda,
                              ast.ClassDef)):
             return  # separate scope
@@ -546,21 +499,11 @@ class _ScopeExtractor:
                 chain = attribute_chain(node.iter) or []
                 if len(chain) == 2 and chain[0] == "self":
                     self.self_aliases[node.target.id] = chain[1]
-                elif len(chain) == 1 and chain[0] in self.task_locals:
-                    # `for task in done:` over a completed-task collection.
-                    self.task_locals.add(node.target.id)
             for stmt in node.body + node.orelse:
                 self._visit(stmt)
             return
-        if isinstance(node, ast.Await):
-            value = node.value
-            if isinstance(value, ast.Call):
-                self._visit_call(value, awaited=True, scheduled=scheduled)
-            else:
-                self._visit(value)
-            return
         if isinstance(node, ast.Call):
-            self._visit_call(node, awaited=awaited, scheduled=scheduled)
+            self._visit_call(node)
             return
         if isinstance(node, ast.Attribute):
             found = self._attr_of(node)
@@ -571,7 +514,7 @@ class _ScopeExtractor:
             self._visit(node.value)
             return
         for child in ast.iter_child_nodes(node):
-            self._visit(child, scheduled=scheduled)
+            self._visit(child)
 
 
 def extract_file(
@@ -619,15 +562,12 @@ def extract_file(
         scopes.append(ScopeInfo(
             qualname=qualname,
             cls=cls,
-            is_async=isinstance(node, ast.AsyncFunctionDef),
-            line=node.lineno,
             accesses=tuple(extractor.accesses),
             calls=tuple(extractor.calls),
             spawns=tuple(extractor.spawns),
             param_types=tuple(params),
             local_types=tuple(sorted(extractor.local_types.items())),
             self_aliases=tuple(sorted(extractor.self_aliases.items())),
-            task_locals=tuple(sorted(extractor.task_locals)),
         ))
     packed_suppressions: Tuple[Tuple[int, Tuple[str, ...]], ...] = ()
     if suppressions:
@@ -655,7 +595,6 @@ class ThreadRoot:
     scope: str
     #: ``"thread"`` (OS thread / thread-pool job) or ``"loop"`` (event loop).
     kind: str
-    spawned_at: str
 
 
 @dataclass
@@ -674,9 +613,6 @@ class ProjectModel:
     #: root scope id -> {reachable scope id -> locks guaranteed held on
     #: every discovered path from the root into that scope}
     root_reach: Dict[str, Dict[str, FrozenSet[str]]] = field(default_factory=dict)
-    #: Scopes that run on an asyncio event loop (async defs + loop callbacks
-    #: plus everything they call synchronously).
-    async_scopes: Set[str] = field(default_factory=set)
     #: scope id -> locks guaranteed held by *every* non-``__init__`` caller.
     inherited_locks: Dict[str, FrozenSet[str]] = field(default_factory=dict)
     suppressions: Dict[str, Dict[int, Set[str]]] = field(default_factory=dict)
@@ -710,33 +646,6 @@ class ProjectModel:
             return False
         return "all" in disabled or rule in disabled
 
-    def dump(self) -> Dict[str, object]:
-        """JSON-serializable call-graph dump (``--dump-callgraph``)."""
-        return {
-            "scopes": {
-                scope_id: {
-                    "path": self.scope_paths[scope_id],
-                    "line": info.line,
-                    "async": info.is_async,
-                    "on_event_loop": scope_id in self.async_scopes,
-                    "calls": sorted({
-                        callee for callee, _ in self.edges.get(scope_id, [])
-                    }),
-                }
-                for scope_id, info in sorted(self.scopes.items())
-            },
-            "thread_roots": [
-                {"scope": root.scope, "kind": root.kind,
-                 "spawned_at": root.spawned_at}
-                for root in self.roots
-            ],
-            "locks": {
-                cls: sorted(info.lock_attrs)
-                for cls, info in sorted(self.classes.items())
-                if info.lock_attrs
-            },
-        }
-
 
 class _Linker:
     def __init__(self, summaries: Sequence[FileSummary]) -> None:
@@ -752,7 +661,6 @@ class _Linker:
         self._index()
         self._build_edges()
         self._find_roots()
-        self._compute_async()
         self._compute_root_reach()
         self._compute_inherited_locks()
         return self.model
@@ -939,32 +847,10 @@ class _Linker:
                     if (target, kind) in seen:
                         continue
                     seen.add((target, kind))
-                    model.roots.append(ThreadRoot(
-                        scope=target, kind=kind,
-                        spawned_at=f"{model.scope_paths[scope_id]}:{spawn.line}",
-                    ))
+                    model.roots.append(ThreadRoot(scope=target, kind=kind))
         model.roots.sort(key=lambda root: (root.scope, root.kind))
 
     # -- reachability ----------------------------------------------------------
-
-    def _compute_async(self) -> None:
-        model = self.model
-        pending = [
-            scope_id for scope_id, scope in model.scopes.items() if scope.is_async
-        ]
-        pending += [
-            root.scope for root in model.roots if root.kind == "loop"
-        ]
-        seen: Set[str] = set()
-        while pending:
-            scope_id = pending.pop()
-            if scope_id in seen:
-                continue
-            seen.add(scope_id)
-            for callee, _ in model.edges.get(scope_id, []):
-                if callee not in seen:
-                    pending.append(callee)
-        model.async_scopes = seen
 
     def _compute_root_reach(self) -> None:
         model = self.model

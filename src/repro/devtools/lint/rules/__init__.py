@@ -6,13 +6,9 @@ module here and importing it below.
 """
 
 from repro.devtools.lint.rules import (  # noqa: F401  (registration side effect)
-    atomic_commit,
-    blocking_async,
     cache_coherence,
     exception_hygiene,
-    fault_reporting,
     fold_determinism,
     lock_discipline,
     thread_confinement,
-    wire_format,
 )

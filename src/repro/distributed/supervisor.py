@@ -10,8 +10,7 @@ runs passes on a background thread until :meth:`stop`.
 
 Every outcome is *reported*: a failed check lands in the collector's
 :class:`CollectorHealth` entry (``last_error``, ``consecutive_failures``)
-and never disappears into a silent handler — the ``fault-reporting``
-flowlint rule enforces this property on this module.
+and never disappears into a silent handler.
 """
 
 from __future__ import annotations

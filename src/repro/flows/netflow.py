@@ -54,6 +54,8 @@ def encode_datagram(
 
     ``base_time`` anchors the router's uptime clock; record first/last
     switched timestamps are expressed relative to it, as on a real router.
+    The uptime must fit the header's u32 milliseconds (about 49.7 days), so
+    epoch-timestamped flows need a ``base_time`` near their start.
     """
     if len(flows) > MAX_RECORDS_PER_DATAGRAM:
         raise SerializationError(
@@ -65,6 +67,11 @@ def encode_datagram(
     else:
         export_time = base_time
     sys_uptime_ms = int(max(0.0, export_time - base_time) * 1000)
+    if sys_uptime_ms > 0xFFFFFFFF:
+        raise SerializationError(
+            f"uptime of {sys_uptime_ms} ms since base_time={base_time} does not "
+            f"fit NetFlow v5's u32 sys_uptime field; pass a later base_time"
+        )
     header = struct.pack(
         HEADER_FORMAT,
         NETFLOW_V5,

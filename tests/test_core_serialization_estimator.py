@@ -3,6 +3,8 @@
 import json
 import random
 import struct
+import tracemalloc
+import zlib
 
 import pytest
 
@@ -20,6 +22,7 @@ from repro.core.policy import available_policies
 from repro.core.serialization import (
     FORMAT_VERSION,
     MAGIC,
+    MAX_INFLATE_RATIO,
     decode_varint,
     decode_zigzag,
     encode_varint,
@@ -36,6 +39,7 @@ from repro.features.schema import (
     SCHEMA_4F,
     SCHEMA_5F,
 )
+from repro.traces import CaidaLikeTraceGenerator, DdosTraceGenerator
 
 
 class TestVarints:
@@ -236,6 +240,85 @@ class TestBinaryFormatContract:
         for packets, key in reversed(list(enumerate(keys, start=1))):
             backward.add(key, packets=packets)
         assert to_bytes(forward) == to_bytes(backward)
+
+
+def _compressed_payload(body):
+    """A version-2 FTRE payload whose header announces deflated ``body``."""
+    return MAGIC + struct.pack(">BBI", FORMAT_VERSION, 1, len(body)) + body
+
+
+def _zero_bomb(inflated_mib):
+    """Deflate ``inflated_mib`` MiB of zeros without ever holding them."""
+    packer = zlib.compressobj(9)
+    chunk = bytes(1 << 20)
+    return b"".join(packer.compress(chunk) for _ in range(inflated_mib)) + packer.flush()
+
+
+class TestBoundedInflate:
+    """A compressed body may inflate to at most ``MAX_INFLATE_RATIO`` times
+    its size, so a small hostile payload cannot make the decoder allocate
+    without limit before it is rejected."""
+
+    def test_decompression_bomb_rejected_within_bounded_memory(self):
+        # 65 kB on the wire, 64 MiB once inflated: the unbounded decoder
+        # peaked at ~141 MiB before rejecting it.
+        payload = _compressed_payload(_zero_bomb(64))
+        assert len(payload) < 70_000
+        tracemalloc.start()
+        try:
+            with pytest.raises(SerializationError) as caught:
+                from_bytes(payload)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
+        assert "inflates past" in str(caught.value)
+
+    def test_highly_compressible_unbounded_tree_round_trips(self):
+        tree = Flowtree(SCHEMA_4F, FlowtreeConfig(max_nodes=None))
+        for port in range(1_024, 3_024):
+            tree.add(key4("10.1.2.3", "192.0.2.10", str(port), "443"), packets=1)
+        payload = to_bytes(tree)
+        raw = to_bytes(tree, compress=False)
+        ratio = (len(raw) - len(MAGIC) - 6) / (len(payload) - len(MAGIC) - 6)
+        assert 5 <= ratio < MAX_INFLATE_RATIO
+        decoded = from_bytes(payload)
+        assert dict(decoded.items()) == dict(tree.items())
+        assert to_bytes(decoded) == payload
+
+    def test_cap_is_a_fixed_multiple_of_the_compressed_length(self):
+        # Bytes after the end of the deflate stream are ignored by the
+        # decoder but count as compressed length, which places the cap
+        # exactly: 64 * len(body) >= inflated passes the inflate step
+        # (and then fails on the empty schema name), one byte less does not.
+        inflated = 200_000
+        stream = zlib.compress(bytes(inflated), 9)
+        at_cap = -(-inflated // MAX_INFLATE_RATIO)
+        assert len(stream) < at_cap - 1
+        padded = stream + bytes(at_cap - len(stream))
+        with pytest.raises(SerializationError, match="unknown schema"):
+            from_bytes(_compressed_payload(padded))
+        with pytest.raises(SerializationError, match="inflates past"):
+            from_bytes(_compressed_payload(padded[:-1]))
+
+    @pytest.mark.parametrize("budget", [128, 560, 4_000, None])
+    @pytest.mark.parametrize("generator", [CaidaLikeTraceGenerator, DdosTraceGenerator])
+    def test_honest_summaries_inflate_far_below_the_cap(self, generator, budget):
+        tree = Flowtree(SCHEMA_4F, FlowtreeConfig(max_nodes=budget))
+        tree.add_batch(generator(seed=5).packets(20_000))
+        payload = to_bytes(tree)
+        raw = to_bytes(tree, compress=False)
+        ratio = (len(raw) - len(MAGIC) - 6) / (len(payload) - len(MAGIC) - 6)
+        assert ratio < MAX_INFLATE_RATIO / 8
+        assert to_bytes(from_bytes(payload)) == payload
+
+    def test_truncated_deflate_stream_rejected(self, packet_stream_small):
+        tree = Flowtree(SCHEMA_4F, FlowtreeConfig(max_nodes=64))
+        tree.add_batch(packet_stream_small[:800])
+        body = to_bytes(tree)[len(MAGIC) + 6:]
+        for cut in (1, len(body) // 2, len(body) - 1):
+            with pytest.raises(SerializationError, match="truncated deflate"):
+                from_bytes(_compressed_payload(body[:cut]))
 
 
 class TestJsonFormat:

@@ -16,8 +16,6 @@ from repro.devtools.lint.helpers import (
     iter_scope_nodes,
     iter_scopes,
     parent_map,
-    scope_calls,
-    string_value,
 )
 
 
@@ -149,26 +147,6 @@ class TestSmallHelpers:
         assert call_name(dotted) == "bar"
         assert call_name(subscripted) is None
 
-    def test_scope_calls_is_lexical(self):
-        tree = parse(
-            """
-            def outer():
-                def inner():
-                    target()
-            """
-        )
-        outer = next(node for name, node in iter_scopes(tree) if name == "outer")
-        inner = next(
-            node for name, node in iter_scopes(tree)
-            if name == "outer.<locals>.inner"
-        )
-        assert not scope_calls(outer, ("target",))
-        assert scope_calls(inner, ("target",))
-
-    def test_string_value(self):
-        assert string_value(parse("'hi'").body[0].value) == "hi"
-        assert string_value(parse("42").body[0].value) is None
-
     def test_parent_map_links_child_to_parent(self):
         tree = parse("def f():\n    return 1")
         parents = parent_map(tree)
@@ -184,10 +162,24 @@ class TestSuppressionsForProjectRules:
     table the per-file rules use."""
 
     SOURCE = """
-        import time
+        import threading
 
-        async def poll_loop():
-            time.sleep(0.1){comment}
+        class Worker:
+            def __init__(self):
+                self._lock = threading.Lock()
+                self._count = 0
+                self._thread = None
+
+            def start(self):
+                self._thread = threading.Thread(target=self._run)
+                self._thread.start()
+
+            def _run(self):
+                with self._lock:
+                    self._count += 1
+
+            def snapshot(self):
+                return self._count{comment}
         """
 
     def lint(self, comment=""):
@@ -195,16 +187,16 @@ class TestSuppressionsForProjectRules:
         return check_source(source, "src/repro/distributed/sample.py")
 
     def test_project_rule_finding_without_comment(self):
-        assert "blocking-in-async" in {f.rule for f in self.lint()}
+        assert "lock-discipline" in {f.rule for f in self.lint()}
 
     def test_named_disable_silences_project_rule(self):
-        assert self.lint("  # flowlint: disable=blocking-in-async") == []
+        assert self.lint("  # flowlint: disable=lock-discipline") == []
 
     def test_disable_all_silences_project_rule(self):
         assert self.lint("  # flowlint: disable=all") == []
 
     def test_disable_list_mixing_file_and_project_rules(self):
         findings = self.lint(
-            "  # flowlint: disable=exception-hygiene,blocking-in-async"
+            "  # flowlint: disable=exception-hygiene,lock-discipline"
         )
         assert findings == []

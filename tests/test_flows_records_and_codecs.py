@@ -128,6 +128,25 @@ class TestNetflowV5:
         with pytest.raises(SerializationError):
             decode_datagram(payload[: HEADER_SIZE + RECORD_SIZE])
 
+    def test_uptime_past_u32_raises_serialization_error(self):
+        """Epoch-timestamped flows with the default ``base_time=0.0`` need
+        an uptime of ~1.7e12 ms, which the header's u32 field cannot hold;
+        the encoder used to let ``struct.error`` escape."""
+        epoch_flows = [FlowRecord(1.7e9, 1.7e9 + 1.0, 1, 2, 3, 4)]
+        with pytest.raises(SerializationError, match="sys_uptime"):
+            encode_datagram(epoch_flows)
+        with pytest.raises(SerializationError, match="sys_uptime"):
+            list(encode_datagrams(epoch_flows))
+        header, _ = decode_datagram(encode_datagram(epoch_flows, base_time=1.7e9))
+        assert header.sys_uptime_ms == 1_000
+
+    def test_uptime_bound_is_the_u32_range(self):
+        fits = [FlowRecord(0.0, 4_294_967.0, 1, 2, 3, 4)]
+        header, _ = decode_datagram(encode_datagram(fits))
+        assert header.sys_uptime_ms == 4_294_967_000
+        with pytest.raises(SerializationError, match="sys_uptime"):
+            encode_datagram([FlowRecord(0.0, 4_294_968.0, 1, 2, 3, 4)])
+
     def test_raw_export_size(self):
         assert raw_export_size(0) == 0
         assert raw_export_size(1) == HEADER_SIZE + RECORD_SIZE
